@@ -247,8 +247,10 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
                     )
         start += count
 
+    if sample_log_path is not None:
+        _write_sample_log(sample_log_path, log_rows)
     term_stats = tuple(stats)
-    report = RunReport(
+    return RunReport(
         plan=plan,
         term_stats=term_stats,
         estimate=math.fsum(t.mean for t in term_stats),
@@ -257,9 +259,6 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
         wall_time=time.perf_counter() - t0,
         seeds={"base_seed": base_seed, "terms": seed_ledger},
     )
-    if sample_log_path is not None:
-        _write_sample_log(sample_log_path, log_rows)
-    return report
 
 
 def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None):
@@ -279,6 +278,9 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
     seeds = counter_seeds(base_seed, 0, M)
     values = _evaluate_level(model, level, seeds, workers)
     stats = _term_stats(1, values)
+    if sample_log_path is not None:
+        rows = [(1, level, i, int(seeds[i]), values[i]) for i in range(M)]
+        _write_sample_log(sample_log_path, rows)
     plan = LevelPlan(
         strategy=StrategyId.CLASSICAL_MC,
         L=1,
@@ -288,7 +290,7 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
         relative_load=float(M),
         inputs=None,
     )
-    report = RunReport(
+    return RunReport(
         plan=plan,
         term_stats=(stats,),
         estimate=stats.mean,
@@ -309,10 +311,6 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
             ],
         },
     )
-    if sample_log_path is not None:
-        rows = [(1, level, i, int(seeds[i]), values[i]) for i in range(M)]
-        _write_sample_log(sample_log_path, rows)
-    return report
 
 
 def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):

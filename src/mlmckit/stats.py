@@ -119,7 +119,7 @@ class SolutionParameters:
 
 
 def _values(s):
-    return s.values if isinstance(s, SampleSet) else tuple(float(v) for v in s)
+    return s.values if isinstance(s, SampleSet) else tuple(map(float, s))
 
 
 def mc_mean(s):
@@ -127,7 +127,11 @@ def mc_mean(s):
     v = _values(s)
     if len(v) == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    return math.fsum(v) / len(v)
+    m = math.fsum(v) / len(v)
+    # The division rounds the correctly rounded sum a second time, which can
+    # step one ulp outside the samples' range (five equal values near 8.6e8
+    # do); the exact mean never leaves it.
+    return min(max(m, min(v)), max(v))
 
 
 def unbiased_variance(s):

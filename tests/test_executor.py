@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
+from mlmckit import executor
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.executor import (
     DegenerateModelError,
@@ -178,6 +180,23 @@ def test_wall_time_reported_but_not_serialized():
         "seeds",
     ]
     json.dumps(d)  # must be serializable as-is
+
+
+@pytest.mark.parametrize("classical", [False, True])
+def test_wall_time_includes_the_sample_log_write(tmp_path, monkeypatch, classical):
+    write = executor._write_sample_log
+
+    def slow_write(path, rows):
+        time.sleep(0.05)
+        write(path, rows)
+
+    monkeypatch.setattr(executor, "_write_sample_log", slow_write)
+    path = str(tmp_path / "log.csv")
+    if classical:
+        report = run_classical_mc(TwoScaleModel(), 1, 8, 0, sample_log_path=path)
+    else:
+        report = run_mlmc(TwoScaleModel(), _plan(StrategyId.S2, (8, 8)), 0, sample_log_path=path)
+    assert report.wall_time >= 0.05
 
 
 def test_seed_ledger_matches_counter_scheme():

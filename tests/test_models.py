@@ -185,10 +185,13 @@ def test_gbm_increments_coarsen_bitwise():
 
 def test_gbm_scalar_equals_batch():
     model = GBMModel()
-    seeds = [3, 1234567, 2**63]
-    batch = model.evaluate_many(1, np.asarray(seeds, dtype=np.uint64))
-    for s, b in zip(seeds, batch):
-        assert model.evaluate(1, s) == b
+    tile = GBMModel._BATCH
+    seeds = np.asarray([3, 1234567, 2**63] + list(range(2 * tile + 5)), dtype=np.uint64)
+    for level in range(1, model.max_level + 1):
+        batch = model.evaluate_many(level, seeds)
+        # the fixed seeds, and both sides of the first two tile boundaries
+        for i in (0, 1, 2, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, len(seeds) - 1):
+            assert model.evaluate(level, int(seeds[i])) == batch[i]
 
 
 def test_gbm_sample_mean_tracks_discrete_expectation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from mlmckit._bits import (
     GOLDEN,
@@ -9,7 +10,6 @@ from mlmckit._bits import (
     counter_seeds,
     mix64_int,
     normal_lanes,
-    normal_lanes_single,
     two_sided_tail,
 )
 
@@ -62,8 +62,19 @@ def test_normal_lanes_batch_invariant():
     whole = normal_lanes(seeds, 3)
     parts = np.vstack([normal_lanes(seeds[:37], 3), normal_lanes(seeds[37:], 3)])
     assert np.array_equal(whole, parts)
-    one = normal_lanes_single(int(seeds[5]), 3)
+    one = normal_lanes(np.asarray([seeds[5]], dtype=np.uint64), 3)[0]
     assert np.array_equal(one, whole[5])
+
+
+@pytest.mark.parametrize("seed", [0, MASK64])
+def test_normal_lanes_match_scalar_mixer_across_wraparound(seed):
+    # The array mixer works in place on wrapped uint64 states; the Python-int
+    # reference reduces mod 2^64 explicitly.  Seed 2^64-1 wraps on lane 0.
+    lanes = normal_lanes(np.asarray([seed], dtype=np.uint64), 2)[0]
+    for j in range(2):
+        h = mix64_int(seed + GOLDEN * (j + 1))
+        u = ((h >> 11) + 0.5) * 2.0**-53
+        assert lanes[j] == ndtri(u)
 
 
 def test_normal_lanes_moments():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mlmckit.stats import (
@@ -66,6 +66,7 @@ def test_variance_translation_invariant(values, shift):
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=64))
+@example([858993459.9999999] * 5)  # fsum(v) / n alone lands one ulp below
 def test_mean_between_extremes(values):
     m = mc_mean(values)
     assert min(values) - 1e-9 <= m <= max(values) + 1e-9
