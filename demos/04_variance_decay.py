@@ -19,7 +19,7 @@ def decay_table(name, model, n_samples, base):
     spreads = []
     for lv in levels[:-1]:
         d = u[lv] - u[lv + 1]
-        s = float(np.sqrt(unbiased_variance(d.tolist())))
+        s = float(np.sqrt(unbiased_variance(d)))
         spreads.append(s)
         print(f"  spread of U_{lv} - U_{lv + 1}: {s:.4e}")
     alpha = estimate_alpha(spreads[0], spreads[1])

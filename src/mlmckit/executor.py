@@ -13,7 +13,6 @@ on the fully assembled per-term arrays in sample-index order with
 compensated summation.
 """
 
-import csv
 import math
 import time
 from abc import ABC, abstractmethod
@@ -167,10 +166,9 @@ def _evaluate_level(model, level, seeds, workers):
 
 
 def _term_stats(term_index, values):
-    vals = values.tolist()
-    mean = mc_mean(vals)
-    var = unbiased_variance(vals) if len(vals) >= 2 else None
-    return LevelTermStats(term_index=term_index, mean=mean, variance=var, count=len(vals))
+    mean = mc_mean(values)
+    var = unbiased_variance(values) if len(values) >= 2 else None
+    return LevelTermStats(term_index=term_index, mean=mean, variance=var, count=len(values))
 
 
 def _std_error(term_stats):
@@ -182,14 +180,22 @@ def _std_error(term_stats):
     return math.sqrt(math.fsum(contribs))
 
 
-def _write_sample_log(path, rows):
-    # rows already sorted by (term, sample_index, level)
+def _write_sample_log(path, terms):
+    """Write one CSV row per (term, sample_index, level), in that order.
+
+    ``terms`` holds ``(term, seeds, per_level)`` with ``per_level`` mapping
+    each level the term touches, in ascending order, to its values.  Rows
+    end in CRLF, as ``csv.writer``'s do; no field needs quoting.
+    """
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["term", "level", "sample_index", "seed", "value"])
-        for row in rows:
-            term, level, idx, seed, value = row
-            w.writerow([term, level, idx, seed, repr(float(value))])
+        fh.write("term,level,sample_index,seed,value\r\n")
+        for term, seeds, per_level in terms:
+            keys = [f"{idx},{seed}," for idx, seed in enumerate(seeds.tolist())]
+            cols = [
+                [f"{term},{lv},{key}{x!r}\r\n" for key, x in zip(keys, vals.tolist())]
+                for lv, vals in per_level.items()
+            ]
+            fh.writelines(map("".join, zip(*cols)))
 
 
 def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
@@ -213,7 +219,7 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     t0 = time.perf_counter()
     stats = []
     seed_ledger = []
-    log_rows = [] if sample_log_path is not None else None
+    log_terms = []
     load = 0.0
     start = 0
     for term in range(1, plan.L + 1):
@@ -239,16 +245,12 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
                 "last_seed": int(seeds[-1]),
             }
         )
-        if log_rows is not None:
-            for idx in range(count):
-                for lv in levels:
-                    log_rows.append(
-                        (term, lv, idx, int(seeds[idx]), per_level[lv][idx])
-                    )
+        if sample_log_path is not None:
+            log_terms.append((term, seeds, per_level))
         start += count
 
     if sample_log_path is not None:
-        _write_sample_log(sample_log_path, log_rows)
+        _write_sample_log(sample_log_path, log_terms)
     term_stats = tuple(stats)
     return RunReport(
         plan=plan,
@@ -279,8 +281,7 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
     values = _evaluate_level(model, level, seeds, workers)
     stats = _term_stats(1, values)
     if sample_log_path is not None:
-        rows = [(1, level, i, int(seeds[i]), values[i]) for i in range(M)]
-        _write_sample_log(sample_log_path, rows)
+        _write_sample_log(sample_log_path, [(1, seeds, {level: values})])
     plan = LevelPlan(
         strategy=StrategyId.CLASSICAL_MC,
         L=1,
@@ -335,9 +336,9 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):
     u2 = _evaluate_level(model, 2, seeds, workers)
     u3 = _evaluate_level(model, 3, seeds, workers)
 
-    var_12 = unbiased_variance((u1 - u2).tolist())
-    var_23 = unbiased_variance((u2 - u3).tolist())
-    var_u = unbiased_variance(u2.tolist())
+    var_12 = unbiased_variance(u1 - u2)
+    var_23 = unbiased_variance(u2 - u3)
+    var_u = unbiased_variance(u2)
     if var_12 == 0.0 or var_23 == 0.0 or var_u == 0.0:
         raise DegenerateModelError(
             "pilot variance is zero: a deterministic (or exactly coupled) "

@@ -2,7 +2,11 @@
 
 All accumulations use compensated summation (``math.fsum``) in fixed index
 order, so results are bit-reproducible no matter how the samples were
-produced or scheduled.
+produced or scheduled.  Samples are summed straight from a float64 array.
+Squared deviations are IEEE products (``d * d``) rather than libm ``pow``,
+so variance bytes do not depend on the platform's libm; a variance can
+differ from a ``(x - m) ** 2`` sum in its last bit.  Means, and so
+estimates, involve no squares and are unaffected.
 """
 
 import math
@@ -119,28 +123,38 @@ class SolutionParameters:
 
 
 def _values(s):
-    return s.values if isinstance(s, SampleSet) else tuple(map(float, s))
+    return np.ascontiguousarray(
+        s.values if isinstance(s, SampleSet) else s, dtype=float
+    ).ravel()
 
 
 def mc_mean(s):
     """Plain Monte Carlo mean, compensated summation in index order."""
     v = _values(s)
-    if len(v) == 0:
+    if v.size == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    m = math.fsum(v) / len(v)
+    m = math.fsum(memoryview(v)) / v.size
     # The division rounds the correctly rounded sum a second time, which can
     # step one ulp outside the samples' range (five equal values near 8.6e8
     # do); the exact mean never leaves it.
-    return min(max(m, min(v)), max(v))
+    return min(max(m, float(v.min())), float(v.max()))
 
 
 def unbiased_variance(s):
     """Unbiased sample variance (1/(M-1) normalization), two-pass."""
     v = _values(s)
-    if len(v) < 2:
-        raise ValueError(f"unbiased variance needs at least 2 samples, got {len(v)}")
-    m = math.fsum(v) / len(v)
-    return math.fsum((x - m) ** 2 for x in v) / (len(v) - 1)
+    if v.size < 2:
+        raise ValueError(f"unbiased variance needs at least 2 samples, got {v.size}")
+    m = math.fsum(memoryview(v)) / v.size
+    # A finite deviation whose square overflows raises, as Python's float
+    # arithmetic does; inf - inf and NaN inputs give a NaN variance quietly.
+    with np.errstate(over="raise", invalid="ignore"):
+        try:
+            d = v - m
+            d *= d
+        except FloatingPointError as exc:
+            raise OverflowError("squared deviation out of range") from exc
+    return math.fsum(memoryview(d)) / (v.size - 1)
 
 
 def multilevel_estimate(terms):

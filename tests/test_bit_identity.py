@@ -1,19 +1,27 @@
-"""Pinned SHA-256 digests of the sampling kernel's raw output bytes.
+"""Pinned SHA-256 digests of the sampling kernel's output and of run files.
 
-The digests were computed on the straightforward, allocate-per-ufunc
+The kernel digests were computed on the straightforward, allocate-per-ufunc
 implementation of ``normal_lanes`` and the GBM batch path.  Any rewrite of
 those kernels (in-place arithmetic, tiling, a different batch size) must
 leave every bit of the output unchanged.  1000 seeds is deliberately not a
 multiple of the GBM tile, so a partial last tile is covered.
+
+The report and sample-log digests were computed with the list-and-generator
+statistics and the ``csv.writer`` sample log; the array statistics and the
+column-built log must reproduce them byte for byte.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from mlmckit._bits import counter_seeds, normal_lanes
-from mlmckit.models import GBMModel
+from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
+from mlmckit.models import GBMModel, TwoScaleModel
+from mlmckit.planner import plan_strategy2, plan_strategy3
 
 SEEDS = counter_seeds(2024, 0, 1000)
 
@@ -41,3 +49,51 @@ def test_gbm_evaluate_many_bytes_are_pinned(level):
     values = GBMModel().evaluate_many(level, SEEDS)
     assert values.shape == (1000,)
     assert _digest(values) == GBM_DIGESTS[level]
+
+
+def _report_digest(report):
+    payload = json.dumps(report.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _file_digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _two_scale_s3_plan(e_divisor):
+    model = TwoScaleModel()
+    params = pilot_estimate_parameters(model, 512, base_seed=11, workers=2)
+    params = dataclasses.replace(params, e=params.e / e_divisor)
+    return model, plan_strategy3(params, max_levels=model.max_level)
+
+
+def test_two_scale_s3_report_bytes_are_pinned():
+    model, plan = _two_scale_s3_plan(8.0)
+    assert plan.L == 6 and sum(plan.M) == 181960
+    report = run_mlmc(model, plan, base_seed=12, workers=2)
+    assert _report_digest(report) == (
+        "489d099bab2b690153453716b45e5d3e2e41da50a6acba210e3490b3abb99cbb"
+    )
+
+
+def test_gbm_s2_report_bytes_are_pinned():
+    model = GBMModel()
+    plan = plan_strategy2(pilot_estimate_parameters(model, 256, base_seed=5), max_levels=4)
+    assert plan.M == (5, 38, 261, 55198)
+    report = run_mlmc(model, plan, base_seed=5)
+    assert _report_digest(report) == (
+        "8faaa5838422da9040d40562b4b01b4127e387e8c1d28a971af090133031d152"
+    )
+
+
+def test_sample_log_bytes_are_pinned(tmp_path):
+    model, plan = _two_scale_s3_plan(2.0)
+    assert plan.M == (2560, 3240, 2560, 640)
+    run_mlmc(model, plan, base_seed=3, workers=2, sample_log_path=str(tmp_path / "a.csv"))
+    run_classical_mc(model, 2, 5000, base_seed=3, sample_log_path=str(tmp_path / "b.csv"))
+    assert _file_digest(tmp_path / "a.csv") == (
+        "d999e3a00d139e565d381caa419151cdf3714382a15aaa50f17c00e07dad3c5d"
+    )
+    assert _file_digest(tmp_path / "b.csv") == (
+        "13cfa68cc6d84a25f195b7b98b4831c43b37df10a97acd25e3b7a375ea57f1e9"
+    )

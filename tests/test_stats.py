@@ -58,6 +58,62 @@ def test_sampleset_wraps_values():
     assert unbiased_variance(s) == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
+def _as(kind, values):
+    return {"list": list, "tuple": tuple, "array": np.array}[kind](values)
+
+
+def _ref_mean(values):
+    m = math.fsum(values) / len(values)
+    return min(max(m, min(values)), max(values))
+
+
+def _ref_variance(values):
+    m = math.fsum(values) / len(values)
+    squares = [(x - m) * (x - m) for x in values]
+    if any(math.isinf(q) for q in squares):
+        raise OverflowError  # where Python's (x - m) ** 2 raises
+    return math.fsum(squares) / (len(values) - 1)
+
+
+def _outcome(fn, values):
+    try:
+        return fn(values).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64),
+    st.sampled_from(["list", "tuple", "array"]),
+)
+@example([858993459.9999999] * 5, "array")
+@example([0.0, 2.6815615859885194e154], "list")  # the square alone overflows
+def test_mean_and_variance_match_the_scalar_reference_bit_for_bit(values, kind):
+    data = _as(kind, values)
+    assert _outcome(mc_mean, data) == _outcome(_ref_mean, values)
+    assert _outcome(unbiased_variance, data) == _outcome(_ref_variance, values)
+
+
+def test_variance_raises_when_a_squared_deviation_overflows():
+    with pytest.raises(OverflowError):
+        unbiased_variance([1e200, -1e200])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", ["list", "array"])
+def test_non_finite_samples_give_nan_variance_without_warnings(bad, kind, recwarn):
+    assert math.isnan(unbiased_variance(_as(kind, [bad, 1.0])))
+    assert math.isnan(unbiased_variance(_as(kind, [1.0, bad])))
+    assert not recwarn.list
+
+
+def test_input_arrays_are_left_untouched():
+    v = np.array([1.0, 2.0, 4.0])
+    unbiased_variance(v)
+    mc_mean(v)
+    assert v.tolist() == [1.0, 2.0, 4.0]
+
+
 @given(st.lists(finite_floats, min_size=2, max_size=64), finite_floats)
 def test_variance_translation_invariant(values, shift):
     v0 = unbiased_variance(values)
