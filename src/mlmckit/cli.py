@@ -223,7 +223,9 @@ def cmd_pilot(args):
         return EXIT_USAGE
 
     try:
-        params = pilot_estimate_parameters(model, cfg.pilot_samples, cfg.base_seed)
+        params = pilot_estimate_parameters(
+            model, cfg.pilot_samples, cfg.base_seed, workers=int(cfg.workers)
+        )
     except DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -262,7 +264,9 @@ def _resolve_plan(cfg, model):
     if cfg.parameters is not None:
         params = SolutionParameters.from_json_dict(cfg.parameters)
     else:
-        params = pilot_estimate_parameters(model, cfg.pilot_samples, cfg.base_seed)
+        params = pilot_estimate_parameters(
+            model, cfg.pilot_samples, cfg.base_seed, workers=int(cfg.workers)
+        )
     return plan_for_strategy(
         _STRATEGY_FLAGS[cfg.strategy], params, max_levels=model.max_level
     )
@@ -303,7 +307,7 @@ def cmd_run(args):
                 cfg.classical_level,
                 plan.M[0],
                 cfg.base_seed,
-                workers=cfg.workers,
+                workers=int(cfg.workers),
                 sample_log_path=log_path,
             )
             if plan.inputs is not None:
@@ -313,7 +317,7 @@ def cmd_run(args):
                 model,
                 plan,
                 cfg.base_seed,
-                workers=cfg.workers,
+                workers=int(cfg.workers),
                 sample_log_path=log_path,
             )
     except _UsageError as exc:

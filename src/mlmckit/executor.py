@@ -9,14 +9,18 @@ aggregation, and the run report; models own only the physics.
 Determinism contract: reports are byte-identical for a given
 (model, plan, base_seed) regardless of worker count.  Sample ids are a
 pure function of (base_seed, global counter); aggregation always happens
-on the fully assembled per-term arrays in sample-index order with
-compensated summation.
+on the fully assembled per-term arrays, with correctly rounded sums equal
+to ``math.fsum`` bit for bit (see :mod:`mlmckit.stats` for the fallbacks
+to ``math.fsum`` itself).  A call evaluates each term's levels in one
+chunked pass, on one thread pool when ``workers > 1``; a failing chunk is
+reported at its lowest failing level.
 """
 
 import math
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -127,41 +131,64 @@ def _check_base_seed(base_seed):
         raise ValueError(f"base_seed must fit in 64 bits, got {base_seed}")
 
 
-def _evaluate_level(model, level, seeds, workers):
-    """Assemble the per-sample values for one level, in sample-index order."""
-    chunks = [seeds[i : i + _CHUNK] for i in range(0, len(seeds), _CHUNK)]
+def _check_workers(workers):
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
-    def run_chunk(chunk):
-        try:
-            out = np.asarray(model.evaluate_many(level, chunk), dtype=float)
-        except ModelEvaluationError:
-            raise
-        except Exception as exc:
-            # Locate the offending sample so the abort is actionable.
-            for s in chunk:
-                try:
-                    model.evaluate(level, int(s))
-                except Exception as inner:
-                    raise ModelEvaluationError(level, int(s), inner) from inner
-            raise ModelEvaluationError(level, None, exc) from exc
-        if out.shape != (len(chunk),):
-            raise ModelEvaluationError(
-                level, None, f"batch returned shape {out.shape} for {len(chunk)} seeds"
-            )
-        return out
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(c) for c in chunks]
-    values = np.concatenate(parts) if parts else np.empty(0)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = int(bad[0])
+def _pool(workers):
+    """One thread pool for a whole call, or no pool for a single worker."""
+    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+
+
+def _evaluate_chunk(model, level, chunk):
+    try:
+        out = np.asarray(model.evaluate_many(level, chunk), dtype=float)
+    except ModelEvaluationError:
+        raise
+    except Exception as exc:
+        # Locate the offending sample so the abort is actionable.
+        for s in chunk:
+            try:
+                model.evaluate(level, int(s))
+            except Exception as inner:
+                raise ModelEvaluationError(level, int(s), inner) from inner
+        raise ModelEvaluationError(level, None, exc) from exc
+    if out.shape != (len(chunk),):
         raise ModelEvaluationError(
-            level, int(seeds[i]), f"non-finite value {values[i]!r}"
+            level, None, f"batch returned shape {out.shape} for {len(chunk)} seeds"
         )
+    return out
+
+
+def _evaluate_levels(model, levels, seeds, pool):
+    """Values of every seed at each of ``levels``: one row per level, in order.
+
+    Each chunk of seeds is evaluated at all the levels, in ascending order,
+    by one task, which writes into its own columns of the result.
+    """
+    values = np.empty((len(levels), len(seeds)))
+
+    def run_chunk(start):
+        chunk = seeds[start : start + _CHUNK]
+        for row, level in zip(values, levels):
+            row[start : start + len(chunk)] = _evaluate_chunk(model, level, chunk)
+
+    starts = range(0, len(seeds), _CHUNK)
+    if pool is not None and len(starts) > 1:
+        list(pool.map(run_chunk, starts))
+    else:
+        for start in starts:
+            run_chunk(start)
+    for row, level in zip(values, levels):
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            i = int(bad[0])
+            raise ModelEvaluationError(
+                level, int(seeds[i]), f"non-finite value {row[i]!r}"
+            )
     return values
 
 
@@ -206,8 +233,7 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     only.  Realizations are disjoint across terms by the counter scheme.
     """
     _check_base_seed(base_seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if plan.strategy is StrategyId.CLASSICAL_MC:
         raise ValueError("classical plans are executed with run_classical_mc")
     if plan.L > model.max_level:
@@ -222,32 +248,31 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     log_terms = []
     load = 0.0
     start = 0
-    for term in range(1, plan.L + 1):
-        count = plan.M[term - 1]
-        seeds = counter_seeds(base_seed, start, count)
-        levels = [term, term + 1] if term < plan.L else [term]
-        per_level = {
-            lv: _evaluate_level(model, lv, seeds, workers) for lv in levels
-        }
-        if term < plan.L:
-            values = per_level[term] - per_level[term + 1]
-        else:
-            values = per_level[term]
-        stats.append(_term_stats(term, values))
-        load += count * math.fsum(model.cost_hint(lv) for lv in levels)
-        seed_ledger.append(
-            {
-                "term_index": term,
-                "levels": levels,
-                "start_index": start,
-                "count": count,
-                "first_seed": int(seeds[0]),
-                "last_seed": int(seeds[-1]),
-            }
-        )
-        if sample_log_path is not None:
-            log_terms.append((term, seeds, per_level))
-        start += count
+    with _pool(workers) as pool:
+        for term in range(1, plan.L + 1):
+            count = plan.M[term - 1]
+            seeds = counter_seeds(base_seed, start, count)
+            levels = [term, term + 1] if term < plan.L else [term]
+            per_level = _evaluate_levels(model, levels, seeds, pool)
+            if term < plan.L:
+                values = per_level[0] - per_level[1]
+            else:
+                values = per_level[0]
+            stats.append(_term_stats(term, values))
+            load += count * math.fsum(model.cost_hint(lv) for lv in levels)
+            seed_ledger.append(
+                {
+                    "term_index": term,
+                    "levels": levels,
+                    "start_index": start,
+                    "count": count,
+                    "first_seed": int(seeds[0]),
+                    "last_seed": int(seeds[-1]),
+                }
+            )
+            if sample_log_path is not None:
+                log_terms.append((term, seeds, dict(zip(levels, per_level))))
+            start += count
 
     if sample_log_path is not None:
         _write_sample_log(sample_log_path, log_terms)
@@ -266,8 +291,7 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
 def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None):
     """Plain Monte Carlo at a single level, same seeding and bookkeeping."""
     _check_base_seed(base_seed)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_workers(workers)
     if int(M) != M or M < 1:
         raise ValueError(f"M must be an integer >= 1, got {M}")
     M = int(M)
@@ -278,7 +302,8 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
 
     t0 = time.perf_counter()
     seeds = counter_seeds(base_seed, 0, M)
-    values = _evaluate_level(model, level, seeds, workers)
+    with _pool(workers) as pool:
+        (values,) = _evaluate_levels(model, [level], seeds, pool)
     stats = _term_stats(1, values)
     if sample_log_path is not None:
         _write_sample_log(sample_log_path, [(1, seeds, {level: values})])
@@ -324,6 +349,7 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):
     are never reused by a later run with the same base_seed.
     """
     _check_base_seed(base_seed)
+    _check_workers(workers)
     if pilot_samples < 2:
         raise ValueError(f"pilot needs at least 2 samples, got {pilot_samples}")
     if model.max_level < 3:
@@ -332,9 +358,8 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):
         )
     pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
     seeds = counter_seeds(pilot_base, 0, pilot_samples)
-    u1 = _evaluate_level(model, 1, seeds, workers)
-    u2 = _evaluate_level(model, 2, seeds, workers)
-    u3 = _evaluate_level(model, 3, seeds, workers)
+    with _pool(workers) as pool:
+        u1, u2, u3 = _evaluate_levels(model, [1, 2, 3], seeds, pool)
 
     var_12 = unbiased_variance(u1 - u2)
     var_23 = unbiased_variance(u2 - u3)

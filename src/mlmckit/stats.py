@@ -1,10 +1,14 @@
 """Sample statistics and parameter estimation for multilevel ensembles.
 
-All accumulations use compensated summation (``math.fsum``) in fixed index
-order, so results are bit-reproducible no matter how the samples were
-produced or scheduled.  Samples are summed straight from a float64 array.
-Squared deviations are IEEE products (``d * d``) rather than libm ``pow``,
-so variance bytes do not depend on the platform's libm; a variance can
+Every sum is correctly rounded, equal to ``math.fsum`` bit for bit, so
+results are bit-reproducible no matter how the samples were produced or
+scheduled.  Samples are summed straight from a float64 array by an exact
+sum indexed by binary exponent (:func:`_fsum`).  Arrays of 2**26 or more
+values, arrays whose sum could overflow or that hold an inf or NaN, and
+sums that are exactly zero go to ``math.fsum`` itself, which gives the
+same value or error (and the interpreter's sign of zero).  Squared
+deviations are IEEE products (``d * d``) rather than libm ``pow``, so
+variance bytes do not depend on the platform's libm; a variance can
 differ from a ``(x - m) ** 2`` sum in its last bit.  Means, and so
 estimates, involve no squares and are unaffected.
 """
@@ -128,12 +132,62 @@ def _values(s):
     ).ravel()
 
 
+# A float64 is m * 2**e with 0.5 <= |m| < 1 and -1073 <= e <= 1024 (frexp).
+# Splitting m * 2**27 into a whole part (|hi| < 2**27) and a fraction that
+# is a multiple of 2**-26 makes every per-exponent bucket sum of fewer than
+# 2**26 values an exact float64; Python ints then add the buckets exactly.
+_EXP_BIAS = 1074
+_BUCKETS = 2099
+_SUM_BLOCK = 8192
+
+
+def _fsum(v):
+    """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized."""
+    n = v.size
+    if n == 0:
+        return 0.0
+    # inf, NaN, partial sums that could overflow, or bucket sums that could
+    # lose bits: leave those to fsum, which gives the same value or error.
+    if n >= 1 << 26 or not float(max(v.max(), -v.min())) * n < 2.0**1020:
+        return math.fsum(memoryview(v))
+    b = min(n, _SUM_BLOCK)
+    m = np.empty(b)
+    hi = np.empty(b)
+    e = np.empty(b, dtype=np.intp)
+    acc_hi = np.zeros(_BUCKETS)
+    acc_lo = np.zeros(_BUCKETS)
+    for i in range(0, n, b):
+        blk = v[i : i + b]
+        k = blk.size
+        mk, hk, ek = m[:k], hi[:k], e[:k]
+        np.frexp(blk, out=(mk, ek))
+        mk *= 2.0**27
+        np.trunc(mk, out=hk)
+        mk -= hk
+        ek += _EXP_BIAS
+        acc_hi += np.bincount(ek, weights=hk, minlength=_BUCKETS)
+        acc_lo += np.bincount(ek, weights=mk, minlength=_BUCKETS)
+    # In units of 2**-1127, bucket j holds lo * 2**j and hi * 2**(j + 26).
+    acc_lo *= 2.0**26
+    c = np.zeros(_BUCKETS + 26, dtype=np.int64)
+    c[:_BUCKETS] = acc_lo
+    c[26:] += acc_hi.astype(np.int64)
+    nz = np.flatnonzero(c)
+    total = 0
+    for j, cj in zip(nz.tolist(), c[nz].tolist()):
+        total += cj << j
+    if total == 0:
+        return math.fsum(memoryview(v))
+    # int / int rounds half to even, as fsum does.
+    return total / (1 << 1127)
+
+
 def mc_mean(s):
-    """Plain Monte Carlo mean, compensated summation in index order."""
+    """Plain Monte Carlo mean, a correctly rounded sum over n."""
     v = _values(s)
     if v.size == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    m = math.fsum(memoryview(v)) / v.size
+    m = _fsum(v) / v.size
     # The division rounds the correctly rounded sum a second time, which can
     # step one ulp outside the samples' range (five equal values near 8.6e8
     # do); the exact mean never leaves it.
@@ -145,7 +199,7 @@ def unbiased_variance(s):
     v = _values(s)
     if v.size < 2:
         raise ValueError(f"unbiased variance needs at least 2 samples, got {v.size}")
-    m = math.fsum(memoryview(v)) / v.size
+    m = _fsum(v) / v.size
     # A finite deviation whose square overflows raises, as Python's float
     # arithmetic does; inf - inf and NaN inputs give a NaN variance quietly.
     with np.errstate(over="raise", invalid="ignore"):
@@ -154,7 +208,7 @@ def unbiased_variance(s):
             d *= d
         except FloatingPointError as exc:
             raise OverflowError("squared deviation out of range") from exc
-    return math.fsum(memoryview(d)) / (v.size - 1)
+    return _fsum(d) / (v.size - 1)
 
 
 def multilevel_estimate(terms):

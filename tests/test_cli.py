@@ -69,6 +69,32 @@ def test_pilot_writes_parameters(tmp_path):
     assert params["delta"] > 0 and params["e"] > 0
 
 
+def test_pilot_uses_the_configured_workers(tmp_path, monkeypatch):
+    from mlmckit import cli
+
+    seen = []
+    pilot = cli.pilot_estimate_parameters
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("workers"))
+        return pilot(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "pilot_estimate_parameters", spy)
+    outs = []
+    for workers in (1, 2):
+        cfg = tmp_path / f"cfg{workers}.json"
+        _write(cfg, {"model": {"kind": "two_scale"}, "workers": workers})
+        outs.append(tmp_path / f"params{workers}.json")
+        rc = main(["pilot", "--config", str(cfg), "--samples", "9000", "--out", str(outs[-1])])
+        assert rc == 0
+    assert seen == [1, 2]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # The inline pilot of ``run`` passes them too.
+    cfg = _two_scale_cfg(tmp_path, workers=2)
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert seen == [1, 2, 2]
+
+
 def test_pilot_degenerate_model_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "gbm", "spec": {"vol": 0.0}}})

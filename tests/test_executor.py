@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -142,6 +145,105 @@ def test_run_mlmc_rejections():
             run_mlmc(model, _plan(StrategyId.S2, (4, 4)), bad_seed)
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "2", None])
+def test_every_runner_rejects_bad_worker_counts(bad):
+    model = TwoScaleModel()
+    with pytest.raises(ValueError):
+        run_mlmc(model, _plan(StrategyId.S2, (4, 4)), 0, workers=bad)
+    with pytest.raises(ValueError):
+        run_classical_mc(model, 1, 10, 0, workers=bad)
+    with pytest.raises(ValueError):
+        pilot_estimate_parameters(model, 64, 0, workers=bad)
+
+
+# ---------------------------------------------------------------------------
+# one pass per term, one thread pool per call
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the thread pools the executor builds."""
+    built = []
+
+    class CountingPool(executor.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers", args[0] if args else None))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+def test_one_pool_per_call_with_workers(pools):
+    model = TwoScaleModel()
+    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 4097, 300)), 0, workers=2)
+    assert pools == [2]
+    pools.clear()
+    pilot_estimate_parameters(model, 9000, 0, workers=2)
+    assert pools == [2]
+    pools.clear()
+    run_classical_mc(model, 1, 9000, 0, workers=3)
+    assert pools == [3]
+
+
+def test_no_pool_for_one_worker(pools):
+    model = TwoScaleModel()
+    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 300)), 0, workers=1)
+    pilot_estimate_parameters(model, 9000, 0)
+    run_classical_mc(model, 1, 9000, 0)
+    assert pools == []
+
+
+def test_more_workers_than_cores_fill_every_sample(tmp_path):
+    # Chunk tasks write into disjoint columns of one shared array; a lost or
+    # misplaced write would change the logged values.
+    plan = _plan(StrategyId.S1, (10 * 4096 + 7, 2 * 4096, 5))
+    many = (os.cpu_count() or 1) + 2
+    logs = [tmp_path / "one.csv", tmp_path / "many.csv"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers, log in zip((1, many), logs):
+            run_mlmc(TwoScaleModel(), plan, 4, workers=workers, sample_log_path=str(log))
+    finally:
+        sys.setswitchinterval(interval)
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_level_of_a_chunk_is_one_batch_call(workers):
+    class BatchRecorder(TwoScaleModel):
+        def __init__(self):
+            super().__init__()
+            self.batches = []
+            self.threads = []
+
+        def evaluate_many(self, level, seeds):
+            self.batches.append((level, len(seeds), int(seeds[0])))
+            self.threads.append(threading.current_thread())
+            return super().evaluate_many(level, seeds)
+
+    model = BatchRecorder()
+    run_mlmc(model, _plan(StrategyId.S2, (9000, 100)), 0, workers=workers)
+    seeds = counter_seeds(0, 0, 9100)
+    chunk = executor._CHUNK
+    expect = {
+        (lv, min(chunk, 9000 - i), int(seeds[i]))
+        for i in range(0, 9000, chunk)
+        for lv in (1, 2)
+    } | {(2, 100, int(seeds[9000]))}
+    assert len(model.batches) == len(expect)
+    assert set(model.batches) == expect
+    on_main = [t is threading.main_thread() for t in model.threads]
+    if workers == 1:
+        # One chunk at every level of the term before the next chunk.
+        assert [lv for lv, _, _ in model.batches[:4]] == [1, 2, 1, 2]
+        assert all(on_main)
+    else:
+        # The 9000-seed term's chunks run on the pool; the one-chunk term does not.
+        assert on_main == [False] * 6 + [True]
+
+
 # ---------------------------------------------------------------------------
 # determinism and seed bookkeeping
 # ---------------------------------------------------------------------------
@@ -270,6 +372,37 @@ def test_raised_exception_names_level_and_seed():
         run_mlmc(model, _plan(StrategyId.S2, (8, 4)), base_seed=0)
     assert exc.value.level == 1
     assert exc.value.seed == bad_seed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
+    class TwoPoisons(TwoScaleModel):
+        def __init__(self, poisons):
+            super().__init__()
+            self.poisons = poisons
+
+        def evaluate(self, level, seed):
+            if (level, int(seed)) in self.poisons:
+                raise RuntimeError("solver diverged")
+            return super().evaluate(level, seed)
+
+        def evaluate_many(self, level, seeds):
+            for s in seeds:
+                self.evaluate(level, s)
+            return super().evaluate_many(level, seeds)
+
+    seeds = counter_seeds(0, 0, 9000)
+    chunk = executor._CHUNK
+    plan = _plan(StrategyId.S2, (9000, 10))
+    # Level 2 fails in the first chunk, level 1 only in the second.
+    late_fine, early_coarse = int(seeds[chunk + 5]), int(seeds[7])
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(TwoPoisons({(1, late_fine), (2, early_coarse)}), plan, 0, workers=workers)
+    assert (exc.value.level, exc.value.seed) == (2, early_coarse)
+    # Both levels fail in the same chunk: the lower level is named.
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(TwoPoisons({(1, late_fine), (2, int(seeds[chunk + 1]))}), plan, 0, workers=workers)
+    assert (exc.value.level, exc.value.seed) == (1, late_fine)
 
 
 # ---------------------------------------------------------------------------

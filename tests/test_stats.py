@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mlmckit.stats import (
+    _fsum,
     LevelTermStats,
     SampleSet,
     SolutionParameters,
@@ -126,6 +127,81 @@ def test_variance_translation_invariant(values, shift):
 def test_mean_between_extremes(values):
     m = mc_mean(values)
     assert min(values) - 1e-9 <= m <= max(values) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the exact sum behind both: _fsum is math.fsum, bit for bit
+# ---------------------------------------------------------------------------
+
+# One value; one short of a kernel block, exactly one and one over; several
+# blocks with a partial last one.
+SUM_SIZES = [1, 8191, 8192, 8193, 3 * 8192 + 17]
+
+any_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # full range, ±0 included
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.integers(-(2**52), 2**52).map(lambda k: k * 2.0**-1074),  # subnormals
+)
+
+
+@st.composite
+def sum_inputs(draw):
+    size = draw(st.sampled_from(SUM_SIZES))
+    pool = draw(st.lists(any_float, min_size=1, max_size=16))
+    shifts = draw(st.lists(st.integers(-1100, 1100), min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["plain", "cancel", "tie"]))
+    with np.errstate(over="ignore"):
+        v = np.ldexp(np.resize(pool, size), np.resize(shifts, size))
+    v[~np.isfinite(v)] = 0.0
+    if kind == "cancel":
+        # Each value and its negation, then something tiny left over.
+        half = v[: (size - 1) // 2]
+        v = np.concatenate([half, -half[::-1], [draw(any_float)]])
+        v = v[np.random.default_rng(size).permutation(v.size)]
+    elif kind == "tie":
+        # A base plus half its ulp, the half split into power-of-two parts.
+        base = draw(st.floats(min_value=2.0**-1000, max_value=2.0**1000))
+        parts = 1 << (max(size - 1, 1).bit_length() - 1)
+        v = np.zeros(max(size, 2))
+        v[0] = draw(st.sampled_from([1.0, -1.0])) * base
+        v[1 : 1 + parts] = math.copysign(math.ulp(base) / 2 / parts, v[0])
+        if draw(st.booleans()):
+            v[-1] += math.ulp(base) * 2.0**-40  # breaks the tie
+    return np.ascontiguousarray(v)
+
+
+def _fsum_outcome(fn, v):
+    try:
+        return fn(v).hex()
+    except (OverflowError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@given(sum_inputs())
+@example(np.array([1.0, 2.0**-53]))  # a tie that rounds down to even
+@example(np.array([1.0 + 2.0**-52, 2.0**-53]))  # a tie that rounds up to even
+@example(np.array([-0.0]))
+@example(np.array([-0.0, -0.0, 0.0]))
+@example(np.array([5e-324, -5e-324, 5e-324]))
+def test_fsum_equals_math_fsum_bit_for_bit(v):
+    assert _fsum_outcome(_fsum, v) == _fsum_outcome(math.fsum, memoryview(v).tolist())
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [math.inf, 1.0],
+        [1.0, -math.inf],
+        [math.nan, 1.0],
+        [math.inf, -math.inf],  # ValueError: -inf + inf in fsum
+        [1e308] * 3,  # OverflowError: intermediate overflow in fsum
+        [8.98846567431158e307, 8.98846567431158e307],  # just at 2**1023
+        [],
+    ],
+)
+def test_fsum_fallback_gives_the_same_value_or_error(values):
+    v = np.array(values, dtype=float)
+    assert _fsum_outcome(_fsum, v) == _fsum_outcome(math.fsum, values)
 
 
 # ---------------------------------------------------------------------------
