@@ -297,10 +297,6 @@ def cmd_run(args):
     log_path = cfg.sample_log if cfg.log_samples else None
     try:
         plan = _resolve_plan(cfg, model)
-        if plan.L > model.max_level:
-            raise _UsageError(
-                f"plan has L={plan.L} levels but the model stops at {model.max_level}"
-            )
         if plan.strategy is StrategyId.CLASSICAL_MC:
             report = run_classical_mc(
                 model,

@@ -13,7 +13,10 @@ on the fully assembled per-term arrays, with correctly rounded sums equal
 to ``math.fsum`` bit for bit (see :mod:`mlmckit.stats` for the fallbacks
 to ``math.fsum`` itself).  A call evaluates each term's levels in one
 chunked pass, on one thread pool when ``workers > 1``; a failing chunk is
-reported at its lowest failing level.
+reported at its lowest failing level.  Each chunk is evaluated at every
+level of its term back to back, in ascending order, on one thread, with one
+``evaluate_many`` call per level; models may rely on that, for example to
+reuse a draw.
 """
 
 import math
@@ -254,10 +257,12 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
             seeds = counter_seeds(base_seed, start, count)
             levels = [term, term + 1] if term < plan.L else [term]
             per_level = _evaluate_levels(model, levels, seeds, pool)
-            if term < plan.L:
-                values = per_level[0] - per_level[1]
-            else:
-                values = per_level[0]
+            values = per_level[0] - per_level[1] if term < plan.L else per_level[0]
+            if sample_log_path is not None:
+                log_terms.append((term, seeds, dict(zip(levels, per_level))))
+            # Free each array once it is used, so that the statistics and the
+            # next term allocate theirs into memory this term gave back.
+            del per_level
             stats.append(_term_stats(term, values))
             load += count * math.fsum(model.cost_hint(lv) for lv in levels)
             seed_ledger.append(
@@ -270,9 +275,8 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
                     "last_seed": int(seeds[-1]),
                 }
             )
-            if sample_log_path is not None:
-                log_terms.append((term, seeds, dict(zip(levels, per_level))))
             start += count
+            del seeds, values
 
     if sample_log_path is not None:
         _write_sample_log(sample_log_path, log_terms)

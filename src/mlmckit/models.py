@@ -7,6 +7,7 @@ so adjacent-level differences measure pure discretization error.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -491,8 +492,29 @@ class TwoScaleModel(QoIModel):
     def evaluate_many(self, level, seeds):
         if not 1 <= level <= self.max_level:
             raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
-        lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64), 2)
+        lanes = _two_normals(np.asarray(seeds, dtype=np.uint64).ravel())
         return lanes[:, 0] + self._scale(level) * lanes[:, 1]
+
+
+# The last TwoScale draw on each thread, as (copy of seeds, lanes).  The
+# executor evaluates a chunk at every level of its term back to back on one
+# thread, so every level after the first reuses the draw.  The draw depends
+# only on the seeds, so one slot serves every instance.
+_last_draw = threading.local()
+
+
+def _two_normals(seeds):
+    old, lanes = getattr(_last_draw, "value", (None, None))
+    # Size and first seed reject a new chunk in O(1) before the full compare.
+    if not (
+        old is not None
+        and old.size == seeds.size
+        and (old.size == 0 or old[0] == seeds[0])
+        and np.array_equal(old, seeds)
+    ):
+        lanes = normal_lanes(seeds, 2)
+        _last_draw.value = (seeds.copy(), lanes)
+    return lanes
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 Every sum is correctly rounded, equal to ``math.fsum`` bit for bit, so
 results are bit-reproducible no matter how the samples were produced or
 scheduled.  Samples are summed straight from a float64 array by an exact
-sum indexed by binary exponent (:func:`_fsum`).  Arrays of 2**26 or more
-values, arrays whose sum could overflow or that hold an inf or NaN, and
-sums that are exactly zero go to ``math.fsum`` itself, which gives the
-same value or error (and the interpreter's sign of zero).  Squared
-deviations are IEEE products (``d * d``) rather than libm ``pow``, so
-variance bytes do not depend on the platform's libm; a variance can
-differ from a ``(x - m) ** 2`` sum in its last bit.  Means, and so
-estimates, involve no squares and are unaffected.
+sum indexed by binary exponent (:func:`_fsum`).  Arrays of fewer than 1024
+values (where ``math.fsum`` is faster) or of 2**26 or more, arrays whose
+sum could overflow or that hold an inf or NaN, and sums that are exactly
+zero go to ``math.fsum`` itself, which gives the same value or error (and
+the interpreter's sign of zero).  Squared deviations are IEEE products
+(``d * d``) rather than libm ``pow``, so variance bytes do not depend on
+the platform's libm; a variance can differ from a ``(x - m) ** 2`` sum in
+its last bit.  Means, and so estimates, involve no squares and are
+unaffected.
 """
 
 import math
@@ -139,16 +140,17 @@ def _values(s):
 _EXP_BIAS = 1074
 _BUCKETS = 2099
 _SUM_BLOCK = 8192
+# Below this size fsum itself is faster than the bucket set-up.
+_SMALL_SUM = 1024
 
 
 def _fsum(v):
     """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized."""
     n = v.size
-    if n == 0:
-        return 0.0
-    # inf, NaN, partial sums that could overflow, or bucket sums that could
-    # lose bits: leave those to fsum, which gives the same value or error.
-    if n >= 1 << 26 or not float(max(v.max(), -v.min())) * n < 2.0**1020:
+    # Small arrays, inf, NaN, partial sums that could overflow, or bucket sums
+    # that could lose bits: leave those to fsum, which gives the same value
+    # or error.
+    if n < _SMALL_SUM or n >= 1 << 26 or not float(max(v.max(), -v.min())) * n < 2.0**1020:
         return math.fsum(memoryview(v))
     b = min(n, _SUM_BLOCK)
     m = np.empty(b)

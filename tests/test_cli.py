@@ -258,6 +258,24 @@ def test_run_plan_deeper_than_model_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_embedded_plan_deeper_than_model_exits_2(tmp_path, capsys):
+    plan = {
+        "strategy": "S1",
+        "L": 3,
+        "M": [8, 8, 8],
+        "M_total": [8, 16, 16],
+        "error_bound_multiplier": 3.0,
+        "relative_load": 8.0,
+        "inputs": None,
+    }
+    cfg = _two_scale_cfg(
+        tmp_path, model={"kind": "two_scale", "spec": {"max_level": 2}}, plan=plan
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "max_level=2" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
+import hashlib
 import json
 import math
 import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mlmckit import executor
+from mlmckit import executor, models
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.executor import (
     DegenerateModelError,
@@ -242,6 +244,60 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
     else:
         # The 9000-seed term's chunks run on the pool; the one-chunk term does not.
         assert on_main == [False] * 6 + [True]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts TwoScale's normal draws, as the seed count of each.
+
+    The per-thread slot of the last draw starts empty, so a draw left by an
+    earlier test cannot be reused.
+    """
+    seen = []
+
+    def counting(seeds, n):
+        seen.append(len(seeds))
+        return normal_lanes(seeds, n)
+
+    monkeypatch.setattr(models, "normal_lanes", counting)
+    monkeypatch.setattr(models, "_last_draw", threading.local())
+    return seen
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_coupled_term_draws_each_chunk_once(draws, workers):
+    plan = _plan(StrategyId.S1, (9000, 5000, 300))
+    report = run_mlmc(TwoScaleModel(), plan, 21, workers=workers)
+    # Chunks of 4096: three for term 1, two for term 2, one for term 3.
+    assert sorted(draws) == sorted([4096, 4096, 808, 4096, 904, 300])
+    payload = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "76a1343465ec3ae8da203b85ba94d099fa22b26054b2434f1d50f145eb1c4879"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_pilot_draws_each_chunk_once(draws, workers):
+    params = pilot_estimate_parameters(TwoScaleModel(), 9000, 21, workers=workers)
+    assert sorted(draws) == [808, 4096, 4096]
+    assert (params.delta, params.e) == (1.4242258335074547, 0.15914689013734465)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
+    # Only one term's seeds, level rows and difference may be alive at once;
+    # that peaks near four times the largest term's float64 bytes.  Keeping
+    # the rows through the statistics (about 7x), or one term's seeds and
+    # difference into the next term's evaluation (about 5.1x), exceeds five.
+    M = (26000, 82000, 104000, 104000, 82000, 20480)
+    plan = _plan(StrategyId.S3, M)
+    tracemalloc.start()
+    try:
+        run_mlmc(TwoScaleModel(), plan, 3, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * max(M)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from mlmckit._bits import normal_lanes
+from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.models import (
     BurgersModel,
     BurgersSpec,
@@ -317,6 +318,56 @@ def test_two_scale_difference_ratio_is_exact():
     # shared realizations cancel the sampling noise: the ratio is 2^alpha
     # to machine precision even for 500 samples
     assert math.log2(ratio) == pytest.approx(1.25, abs=1e-12)
+
+
+def _two_scale_reference(model, level, seeds):
+    lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64), 2)
+    return lanes[:, 0] + model._scale(level) * lanes[:, 1]
+
+
+def test_two_scale_reused_draw_follows_the_seeds():
+    m = TwoScaleModel()
+    a = counter_seeds(3, 0, 300)
+    b = counter_seeds(4, 0, 300)
+    # Alternating arrays, then the same array changed in place.
+    for seeds in (a, b, a, a.copy(), b):
+        for level in (1, 2):
+            expect = _two_scale_reference(m, level, seeds)
+            assert np.array_equal(m.evaluate_many(level, seeds), expect)
+    for i in (0, 150, 299):
+        seeds = a.copy()
+        m.evaluate_many(1, seeds)
+        seeds[i] += np.uint64(1)
+        assert np.array_equal(m.evaluate_many(2, seeds), _two_scale_reference(m, 2, seeds))
+
+
+def test_two_scale_models_share_draws_but_not_results():
+    seeds = counter_seeds(5, 0, 64)
+    m1, m2 = TwoScaleModel(alpha=1.0, amp=0.5), TwoScaleModel(alpha=2.0, amp=0.25)
+    for m in (m1, m2, m1):
+        assert np.array_equal(m.evaluate_many(3, seeds), _two_scale_reference(m, 3, seeds))
+    assert not np.array_equal(m1.evaluate_many(3, seeds), m2.evaluate_many(3, seeds))
+
+
+def test_two_scale_batch_accepts_empty_and_list_seeds():
+    m = TwoScaleModel()
+    seeds = [int(s) for s in counter_seeds(6, 0, 5)]
+    # Each kind of input at two levels in a row, so the second call reuses.
+    for level in (1, 2):
+        assert m.evaluate_many(level, []).shape == (0,)
+    for level in (1, 2):
+        expect = _two_scale_reference(m, level, seeds)
+        assert np.array_equal(m.evaluate_many(level, seeds), expect)
+        assert expect[2] == m.evaluate(level, seeds[2])
+
+
+def test_two_scale_model_pickles():
+    m = TwoScaleModel(max_level=5, alpha=1.5, amp=0.75)
+    seeds = counter_seeds(7, 0, 10)
+    m.evaluate_many(2, seeds)
+    clone = pickle.loads(pickle.dumps(m))
+    assert (clone.max_level, clone.alpha, clone.amp) == (5, 1.5, 0.75)
+    assert np.array_equal(clone.evaluate_many(2, seeds), m.evaluate_many(2, seeds))
 
 
 def test_two_scale_validation():

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mlmckit import stats
 from mlmckit.stats import (
     _fsum,
     LevelTermStats,
@@ -133,9 +135,10 @@ def test_mean_between_extremes(values):
 # the exact sum behind both: _fsum is math.fsum, bit for bit
 # ---------------------------------------------------------------------------
 
-# One value; one short of a kernel block, exactly one and one over; several
+# One value; one short of the small-array cut-off, exactly at it and one
+# over; one short of a kernel block, exactly one and one over; several
 # blocks with a partial last one.
-SUM_SIZES = [1, 8191, 8192, 8193, 3 * 8192 + 17]
+SUM_SIZES = [1, 1023, 1024, 1025, 8191, 8192, 8193, 3 * 8192 + 17]
 
 any_float = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),  # full range, ±0 included
@@ -184,7 +187,11 @@ def _fsum_outcome(fn, v):
 @example(np.array([-0.0, -0.0, 0.0]))
 @example(np.array([5e-324, -5e-324, 5e-324]))
 def test_fsum_equals_math_fsum_bit_for_bit(v):
-    assert _fsum_outcome(_fsum, v) == _fsum_outcome(math.fsum, memoryview(v).tolist())
+    expect = _fsum_outcome(math.fsum, memoryview(v).tolist())
+    assert _fsum_outcome(_fsum, v) == expect
+    # Arrays below the cut-off go to fsum; the kernel must agree on them too.
+    with mock.patch.object(stats, "_SMALL_SUM", 0):
+        assert _fsum_outcome(_fsum, v) == expect
 
 
 @pytest.mark.parametrize(
