@@ -15,7 +15,6 @@ from .executor import (
     run_classical_mc,
     run_mlmc,
 )
-from .hierarchy import ResolutionHierarchy
 from .models import (
     BurgersModel,
     BurgersSpec,
@@ -42,16 +41,13 @@ from .planner import (
     plan_strategy3,
     plan_strategy4,
     polynomial_n_exponent,
-    predicted_load,
 )
 from .stats import (
     LevelTermStats,
-    SampleSet,
     SolutionParameters,
     estimate_alpha,
     estimate_fine_error,
     mc_mean,
-    multilevel_estimate,
     total_samples_per_level,
     unbiased_variance,
 )
@@ -70,9 +66,7 @@ __all__ = [
     "LevelTermStats",
     "ModelEvaluationError",
     "QoIModel",
-    "ResolutionHierarchy",
     "RunReport",
-    "SampleSet",
     "SolutionParameters",
     "StrategyId",
     "TopographySample",
@@ -84,7 +78,6 @@ __all__ = [
     "evaluate_topography",
     "mc_mean",
     "model_from_config",
-    "multilevel_estimate",
     "pilot_estimate_parameters",
     "plan_classical_mc",
     "plan_for_strategy",
@@ -93,7 +86,6 @@ __all__ = [
     "plan_strategy3",
     "plan_strategy4",
     "polynomial_n_exponent",
-    "predicted_load",
     "run_classical_mc",
     "run_mlmc",
     "sample_topography",

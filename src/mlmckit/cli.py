@@ -11,7 +11,7 @@ only, never into the deterministic payload.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .executor import (
@@ -21,7 +21,6 @@ from .executor import (
     run_classical_mc,
     run_mlmc,
 )
-from .hierarchy import ResolutionHierarchy
 from .models import model_from_config
 from .planner import LevelPlan, StrategyId, plan_for_strategy
 from .stats import SolutionParameters
@@ -51,6 +50,15 @@ def _sig4(x):
     return format(x, ".4g")
 
 
+def _check_whole(key, value, low):
+    try:
+        ok = int(value) == value and value >= low
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise _UsageError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
 def _write_json(path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
@@ -77,80 +85,51 @@ class RunConfig:
     log_samples: bool = False
     sample_log: str = "samples.csv"
     out: str = "report.json"
-    hierarchy: dict = field(default_factory=lambda: {"r1": 1.0, "C1": 1.0})
-
-    _KEYS = (
-        "model",
-        "strategy",
-        "plan",
-        "parameters",
-        "pilot_samples",
-        "base_seed",
-        "classical_level",
-        "workers",
-        "log_samples",
-        "sample_log",
-        "out",
-        "hierarchy",
-    )
 
     @classmethod
     def from_json_dict(cls, d):
         if not isinstance(d, dict):
             raise _UsageError("config must be a JSON object")
-        unknown = sorted(set(d) - set(cls._KEYS))
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise _UsageError(f"unknown config keys: {unknown}")
         if "model" not in d:
             raise _UsageError('config is missing the required "model" entry')
         cfg = cls(model=d["model"])
-        for key in cls._KEYS[1:]:
-            if key in d and d[key] is not None:
-                setattr(cfg, key, d[key])
+        for key, value in d.items():
+            if value is not None:
+                setattr(cfg, key, value)
         cfg.validate()
         return cfg
 
     def validate(self):
-        model_from_config(self.model)  # raises ValueError on bad model config
-        if self.strategy is not None and self.strategy not in _STRATEGY_FLAGS:
+        for key, parse in (
+            ("model", model_from_config),
+            ("plan", LevelPlan.from_json_dict),
+            ("parameters", SolutionParameters.from_json_dict),
+        ):
+            value = getattr(self, key)
+            # Each parser raises ValueError on a bad value; a value of the
+            # wrong shape (a number for a mapping, a list for a number, a
+            # missing entry) surfaces as one of these instead.
+            try:
+                if value is not None or key == "model":
+                    parse(value)
+            except (AttributeError, KeyError, TypeError, OverflowError) as exc:
+                raise _UsageError(f"malformed {key} {value!r}: {exc!r}") from exc
+        if self.strategy is not None and not (
+            isinstance(self.strategy, str) and self.strategy in _STRATEGY_FLAGS
+        ):
             raise _UsageError(
                 f"strategy must be one of {sorted(_STRATEGY_FLAGS)}, got {self.strategy!r}"
             )
-        if self.plan is not None:
-            LevelPlan.from_json_dict(self.plan)
-        if self.parameters is not None:
-            SolutionParameters.from_json_dict(self.parameters)
-        if int(self.pilot_samples) != self.pilot_samples or self.pilot_samples < 2:
-            raise _UsageError(f"pilot_samples must be an integer >= 2, got {self.pilot_samples}")
-        if int(self.base_seed) != self.base_seed or self.base_seed < 0:
-            raise _UsageError(f"base_seed must be a non-negative integer, got {self.base_seed}")
-        if int(self.classical_level) != self.classical_level or self.classical_level < 1:
-            raise _UsageError(f"classical_level must be an integer >= 1, got {self.classical_level}")
-        if int(self.workers) != self.workers or self.workers < 1:
-            raise _UsageError(f"workers must be an integer >= 1, got {self.workers}")
-        ResolutionHierarchy.from_json_dict(self.hierarchy)
-
-    def to_json_dict(self):
-        out = {"model": self.model}
-        if self.strategy is not None:
-            out["strategy"] = self.strategy
-        if self.plan is not None:
-            out["plan"] = self.plan
-        if self.parameters is not None:
-            out["parameters"] = self.parameters
-        out.update(
-            {
-                "pilot_samples": self.pilot_samples,
-                "base_seed": self.base_seed,
-                "classical_level": self.classical_level,
-                "workers": self.workers,
-                "log_samples": self.log_samples,
-                "sample_log": self.sample_log,
-                "out": self.out,
-                "hierarchy": dict(self.hierarchy),
-            }
-        )
-        return out
+        for key, low in (
+            ("pilot_samples", 2), ("base_seed", 0), ("classical_level", 1), ("workers", 1)
+        ):
+            _check_whole(key, getattr(self, key), low)
+        for key in ("sample_log", "out"):
+            if not isinstance(getattr(self, key), str):
+                raise _UsageError(f"{key} must be a path, got {getattr(self, key)!r}")
 
 
 def _load_config(path):
@@ -168,19 +147,24 @@ def _load_config(path):
 # plan
 # ---------------------------------------------------------------------------
 
+def _size(strategy, params, max_levels):
+    """``plan_for_strategy``, with a sample count that overflows as a usage error."""
+    try:
+        return plan_for_strategy(strategy, params, max_levels=max_levels)
+    except OverflowError as exc:
+        raise _UsageError(f"cannot size a plan from {params}: {exc}") from exc
+
+
 def cmd_plan(args):
     try:
         params = SolutionParameters(
             delta=args.delta, e=args.err, alpha=args.alpha, sigma=args.sigma
         )
-        hierarchy = ResolutionHierarchy(r1=args.r1, C1=args.c1)
         if args.strategy == "all":
             chosen = list(StrategyId)
         else:
             chosen = [_STRATEGY_FLAGS[args.strategy]]
-        plans = [
-            plan_for_strategy(s, params, max_levels=args.max_levels) for s in chosen
-        ]
+        plans = [_size(s, params, args.max_levels) for s in chosen]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -194,13 +178,7 @@ def cmd_plan(args):
             f"{plan.strategy.value:<12} {plan.L:>2}  {m_str:<28} "
             f"{_sig4(plan.error_bound_multiplier):>7} {_sig4(plan.relative_load):>10}"
         )
-    _write_json(
-        args.out,
-        {
-            "hierarchy": hierarchy.to_json_dict(),
-            "plans": [p.to_json_dict() for p in plans],
-        },
-    )
+    _write_json(args.out, {"plans": [p.to_json_dict() for p in plans]})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -267,9 +245,7 @@ def _resolve_plan(cfg, model):
         params = pilot_estimate_parameters(
             model, cfg.pilot_samples, cfg.base_seed, workers=int(cfg.workers)
         )
-    return plan_for_strategy(
-        _STRATEGY_FLAGS[cfg.strategy], params, max_levels=model.max_level
-    )
+    return _size(_STRATEGY_FLAGS[cfg.strategy], params, model.max_level)
 
 
 def cmd_run(args):
@@ -307,7 +283,7 @@ def cmd_run(args):
                 sample_log_path=log_path,
             )
             if plan.inputs is not None:
-                report = _with_plan(report, plan)
+                report = replace(report, plan=plan)
         else:
             report = run_mlmc(
                 model,
@@ -341,13 +317,6 @@ def cmd_run(args):
     if log_path is not None:
         print(f"wrote {log_path}")
     return EXIT_OK
-
-
-def _with_plan(report, plan):
-    """Attach the planner-produced classical plan to an executed report."""
-    from dataclasses import replace
-
-    return replace(report, plan=plan)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +399,6 @@ def build_parser():
         default="all",
     )
     p_plan.add_argument("--max-levels", type=int, default=None, dest="max_levels")
-    p_plan.add_argument("--r1", type=float, default=1.0, help="finest mesh spacing")
-    p_plan.add_argument("--c1", type=float, default=1.0, help="DOF prefactor")
     p_plan.add_argument("--out", default="plans.json", help="plans JSON path")
     p_plan.set_defaults(func=cmd_plan)
 

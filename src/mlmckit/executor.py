@@ -30,8 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ._bits import MASK64, counter_seeds, mix64_int
-from .hierarchy import relative_dof
-from .planner import LevelPlan, StrategyId
+from .planner import LevelPlan, StrategyId, relative_dof
 from .stats import (
     LevelTermStats,
     SolutionParameters,
@@ -228,23 +227,13 @@ def _write_sample_log(path, terms):
             fh.writelines(map("".join, zip(*cols)))
 
 
-def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
-    """Execute a multilevel plan: coupled difference terms plus coarse term.
+def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
+    """Run every term of ``plan`` and assemble its report.
 
-    Term l < L draws M[l-1] realizations and evaluates each at levels l and
-    l+1 (same seed — exact coupling); the last term evaluates at level L
-    only.  Realizations are disjoint across terms by the counter scheme.
+    Term t draws ``plan.M[t-1]`` realizations, the next ones of the counter
+    stream, and evaluates each at every level of ``term_levels[t-1]`` (one or
+    two levels); a two-level term's values are the coupled differences.
     """
-    _check_base_seed(base_seed)
-    _check_workers(workers)
-    if plan.strategy is StrategyId.CLASSICAL_MC:
-        raise ValueError("classical plans are executed with run_classical_mc")
-    if plan.L > model.max_level:
-        raise ValueError(
-            f"plan has L={plan.L} levels but the model stops at "
-            f"max_level={model.max_level}"
-        )
-
     t0 = time.perf_counter()
     stats = []
     seed_ledger = []
@@ -252,12 +241,10 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     load = 0.0
     start = 0
     with _pool(workers) as pool:
-        for term in range(1, plan.L + 1):
-            count = plan.M[term - 1]
+        for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
             seeds = counter_seeds(base_seed, start, count)
-            levels = [term, term + 1] if term < plan.L else [term]
             per_level = _evaluate_levels(model, levels, seeds, pool)
-            values = per_level[0] - per_level[1] if term < plan.L else per_level[0]
+            values = per_level[0] - per_level[1] if len(levels) == 2 else per_level[0]
             if sample_log_path is not None:
                 log_terms.append((term, seeds, dict(zip(levels, per_level))))
             # Free each array once it is used, so that the statistics and the
@@ -292,8 +279,31 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     )
 
 
+def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
+    """Execute a multilevel plan: coupled difference terms plus coarse term.
+
+    Term l < L draws M[l-1] realizations and evaluates each at levels l and
+    l+1 (same seed — exact coupling); the last term evaluates at level L
+    only.  Realizations are disjoint across terms by the counter scheme.
+    """
+    _check_base_seed(base_seed)
+    _check_workers(workers)
+    if plan.strategy is StrategyId.CLASSICAL_MC:
+        raise ValueError("classical plans are executed with run_classical_mc")
+    if plan.L > model.max_level:
+        raise ValueError(
+            f"plan has L={plan.L} levels but the model stops at "
+            f"max_level={model.max_level}"
+        )
+    term_levels = [[l, l + 1] for l in range(1, plan.L)] + [[plan.L]]
+    return _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path)
+
+
 def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None):
-    """Plain Monte Carlo at a single level, same seeding and bookkeeping."""
+    """Plain Monte Carlo at a single level: a one-term run of ``M`` samples.
+
+    The report's plan is the classical plan for ``M`` without inputs.
+    """
     _check_base_seed(base_seed)
     _check_workers(workers)
     if int(M) != M or M < 1:
@@ -303,14 +313,6 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
         raise ValueError(
             f"level must be within 1..{model.max_level}, got {level}"
         )
-
-    t0 = time.perf_counter()
-    seeds = counter_seeds(base_seed, 0, M)
-    with _pool(workers) as pool:
-        (values,) = _evaluate_levels(model, [level], seeds, pool)
-    stats = _term_stats(1, values)
-    if sample_log_path is not None:
-        _write_sample_log(sample_log_path, [(1, seeds, {level: values})])
     plan = LevelPlan(
         strategy=StrategyId.CLASSICAL_MC,
         L=1,
@@ -320,27 +322,7 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
         relative_load=float(M),
         inputs=None,
     )
-    return RunReport(
-        plan=plan,
-        term_stats=(stats,),
-        estimate=stats.mean,
-        estimated_std_error=_std_error((stats,)),
-        realized_load=M * model.cost_hint(level),
-        wall_time=time.perf_counter() - t0,
-        seeds={
-            "base_seed": base_seed,
-            "terms": [
-                {
-                    "term_index": 1,
-                    "levels": [level],
-                    "start_index": 0,
-                    "count": M,
-                    "first_seed": int(seeds[0]),
-                    "last_seed": int(seeds[-1]),
-                }
-            ],
-        },
-    )
+    return _run_terms(model, plan, [[level]], base_seed, workers, sample_log_path)
 
 
 def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):

@@ -61,15 +61,6 @@ class TopographySpec:
     def coefficient_count(self):
         return 2 * self.n_k * self.n_l
 
-    def to_json_dict(self):
-        return {
-            "H": self.H,
-            "Lx": self.Lx,
-            "Ly": self.Ly,
-            "k_range": list(self.k_range),
-            "l_range": list(self.l_range),
-        }
-
     @classmethod
     def from_json_dict(cls, d):
         return cls(
@@ -201,16 +192,6 @@ class GBMSpec:
     @property
     def exact_mean(self):
         return self.S0 * math.exp(self.r_drift * self.T)
-
-    def to_json_dict(self):
-        return {
-            "S0": self.S0,
-            "r_drift": self.r_drift,
-            "vol": self.vol,
-            "T": self.T,
-            "steps_at_finest": self.steps_at_finest,
-            "max_level": self.max_level,
-        }
 
     @classmethod
     def from_json_dict(cls, d):
@@ -354,16 +335,6 @@ class BurgersSpec:
         if not 1 <= level <= self.max_level:
             raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
         return self.cells_at_finest >> (level - 1)
-
-    def to_json_dict(self):
-        return {
-            "viscosity": self.viscosity,
-            "domain_length": self.domain_length,
-            "cells_at_finest": self.cells_at_finest,
-            "time_horizon": self.time_horizon,
-            "max_level": self.max_level,
-            "forcing": self.forcing.to_json_dict(),
-        }
 
     @classmethod
     def from_json_dict(cls, d):

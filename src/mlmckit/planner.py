@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .hierarchy import relative_dof
 from .stats import SolutionParameters, total_samples_per_level
 
 
@@ -120,8 +119,29 @@ def _clamp_count(x):
     return max(1, _round_half_up(x))
 
 
-def _raw_level_count(strategy, p):
-    """Real-valued level count before ceiling/clamping (S1/S2/S3 only)."""
+def relative_dof(level):
+    """Work of one solve at ``level`` relative to a finest-level solve.
+
+    Each coarser level doubles the mesh spacing in three dimensions, so this
+    is exactly 8^-(level-1); a power of two, so the float is exact until
+    underflow.
+    """
+    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
+        raise ValueError(f"level must be an integer >= 1, got {level!r}")
+    return 8.0 ** (-(level - 1))
+
+
+_S4_SCAN_CAP = 64
+
+
+def _level_count(strategy, p):
+    """Ladder length from the sizing formula, before any ``max_levels`` cap.
+
+    S1-S3 take the ceiling of a closed form, clamped to at least 1.  S4 takes
+    the smallest L whose coarsest term already meets the statistical budget,
+    found by an ascending scan (log-space, so no overflow) up to 64 levels;
+    ``None`` when no such L exists.
+    """
     B = _base_factor(p.alpha)
     gap = 2.0 * math.log(p.delta) - 2.0 * math.log(p.e) - math.log(B)
     if strategy in (StrategyId.S1, StrategyId.S3):
@@ -130,10 +150,15 @@ def _raw_level_count(strategy, p):
                 "alpha = 0 gives no refinement gain; the level-count formula "
                 "is singular"
             )
-        return 1.0 + gap / (2.0 * p.alpha * math.log(2.0))
+        return max(1, math.ceil(1.0 + gap / (2.0 * p.alpha * math.log(2.0))))
     if strategy is StrategyId.S2:
-        return gap / ((p.alpha + 1.0) * math.log(4.0)) + 1.0
-    raise ValueError(f"no closed-form level count for {strategy}")
+        return max(1, math.ceil(gap / ((p.alpha + 1.0) * math.log(4.0)) + 1.0))
+    # S4 needs L^(2(1+sigma)) * 2^(2 alpha (L-1)) >= delta^2 / (e^2 B).
+    w = 2.0 * (1.0 + p.sigma)
+    for cand in range(1, _S4_SCAN_CAP + 1):
+        if w * math.log(cand) + 2.0 * p.alpha * (cand - 1) * math.log(2.0) >= gap:
+            return cand
+    return None
 
 
 def _unrounded_sizes(strategy, p, L):
@@ -144,13 +169,10 @@ def _unrounded_sizes(strategy, p, L):
         return [B * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
     if strategy is StrategyId.S2:
         return [B * 4.0 ** ((l - 1) * (p.alpha + 1.0)) for l in ls]
+    w = 2.0 * (1.0 + p.sigma)
     if strategy is StrategyId.S3:
-        w = 2.0 * (1.0 + p.sigma)
         return [B * (L - l + 1) ** w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
-    if strategy is StrategyId.S4:
-        w = 2.0 * (1.0 + p.sigma)
-        return [B * l**w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
-    raise ValueError(f"no per-level sizes for {strategy}")
+    return [B * l**w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
 
 
 def _load_from_counts(strategy, M):
@@ -164,9 +186,27 @@ def _load_from_counts(strategy, M):
     return total
 
 
-def _finish_plan(strategy, p, L, multiplier):
-    sizes = _unrounded_sizes(strategy, p, L)
-    M = [_clamp_count(x) for x in sizes]
+def _plan(strategy, p, max_levels):
+    """Size a multilevel plan: ladder length, capped, then per-term counts."""
+    if max_levels is not None and max_levels < 1:
+        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    L = _level_count(strategy, p)
+    if L is None:
+        if max_levels is None or max_levels >= _S4_SCAN_CAP:
+            raise ValueError(
+                f"no ladder of <= {_S4_SCAN_CAP} levels meets the statistical "
+                f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
+            )
+        L = max_levels  # ladder capped by the model; closure restores the bound
+    elif max_levels is not None:
+        L = min(L, max_levels)
+    if strategy is StrategyId.S1:
+        multiplier = float(L + 2)
+    elif strategy is StrategyId.S2:
+        multiplier = 4.0
+    else:
+        multiplier = 3.0 + 1.0 / p.sigma
+    M = [_clamp_count(x) for x in _unrounded_sizes(strategy, p, L)]
     # Coarsest-term closure: the statistical error of the last term must not
     # exceed e, i.e. M_L >= delta^2/e^2.  The formula already guarantees this
     # when L comes from its own ceiling; when a max_levels cap shortened the
@@ -181,11 +221,6 @@ def _finish_plan(strategy, p, L, multiplier):
         relative_load=_load_from_counts(strategy, M),
         inputs=p,
     )
-
-
-def _check_max_levels(max_levels):
-    if max_levels is not None and max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
 
 
 def plan_classical_mc(p):
@@ -208,20 +243,12 @@ def plan_strategy1(p, max_levels=None):
     Cheapest of the four multilevel schedules; the a-priori bound grows
     with the ladder ((L+2) e).  Requires alpha > 0.
     """
-    _check_max_levels(max_levels)
-    L = max(1, math.ceil(_raw_level_count(StrategyId.S1, p)))
-    if max_levels is not None:
-        L = min(L, max_levels)
-    return _finish_plan(StrategyId.S1, p, L, float(L + 2))
+    return _plan(StrategyId.S1, p, max_levels)
 
 
 def plan_strategy2(p, max_levels=None):
     """Aggressive sizing whose bound stays flat at 4e for any ladder."""
-    _check_max_levels(max_levels)
-    L = max(1, math.ceil(_raw_level_count(StrategyId.S2, p)))
-    if max_levels is not None:
-        L = min(L, max_levels)
-    return _finish_plan(StrategyId.S2, p, L, 4.0)
+    return _plan(StrategyId.S2, p, max_levels)
 
 
 def plan_strategy3(p, max_levels=None):
@@ -231,14 +258,7 @@ def plan_strategy3(p, max_levels=None):
     (L-l+1)^(2(1+sigma)), buying a flat (3 + 1/sigma) e bound.  Requires
     alpha > 0.
     """
-    _check_max_levels(max_levels)
-    L = max(1, math.ceil(_raw_level_count(StrategyId.S3, p)))
-    if max_levels is not None:
-        L = min(L, max_levels)
-    return _finish_plan(StrategyId.S3, p, L, 3.0 + 1.0 / p.sigma)
-
-
-_S4_SCAN_CAP = 64
+    return _plan(StrategyId.S3, p, max_levels)
 
 
 def plan_strategy4(p, max_levels=None):
@@ -248,27 +268,7 @@ def plan_strategy4(p, max_levels=None):
     the statistical budget; found by an ascending scan (log-space, so no
     overflow), capped at 64.  Bound: (3 + 1/sigma) e.
     """
-    _check_max_levels(max_levels)
-    B = _base_factor(p.alpha)
-    # Need L^(2(1+sigma)) * 2^(2 alpha (L-1)) >= delta^2 / (e^2 B), compared
-    # via logarithms.
-    target = 2.0 * math.log(p.delta) - 2.0 * math.log(p.e) - math.log(B)
-    w = 2.0 * (1.0 + p.sigma)
-    cap = _S4_SCAN_CAP if max_levels is None else min(_S4_SCAN_CAP, max_levels)
-    L = None
-    for cand in range(1, cap + 1):
-        if w * math.log(cand) + 2.0 * p.alpha * (cand - 1) * math.log(2.0) >= target:
-            L = cand
-            break
-    if L is None:
-        if max_levels is not None and cap < _S4_SCAN_CAP:
-            L = cap  # ladder capped by the model; closure restores the bound
-        else:
-            raise ValueError(
-                f"no ladder of <= {_S4_SCAN_CAP} levels meets the statistical "
-                f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
-            )
-    return _finish_plan(StrategyId.S4, p, L, 3.0 + 1.0 / p.sigma)
+    return _plan(StrategyId.S4, p, max_levels)
 
 
 _PLANNERS = {
@@ -283,17 +283,6 @@ _PLANNERS = {
 def plan_for_strategy(strategy, p, max_levels=None):
     """Dispatch to the planner for ``strategy`` (a StrategyId or its value)."""
     return _PLANNERS[StrategyId(strategy)](p, max_levels=max_levels)
-
-
-def predicted_load(plan):
-    """Relative load of a plan, in units of one finest-level solve.
-
-    Multilevel terms couple two adjacent levels, so term l < L pays for a
-    solve at level l and one at level l+1 per sample; the coarsest term
-    pays for level L only.  The classical baseline runs entirely at the
-    finest level, where one solve costs exactly 1.
-    """
-    return _load_from_counts(plan.strategy, plan.M)
 
 
 def polynomial_n_exponent(strategy, alpha):

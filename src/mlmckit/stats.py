@@ -23,25 +23,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class SampleSet:
-    """An ordered batch of scalar QoI evaluations.
-
-    ``level`` and ``term`` are bookkeeping tags; they do not affect the
-    statistics.
-    """
-
-    values: tuple
-    level: int = 1
-    term: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in np.asarray(self.values).ravel()))
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class LevelTermStats:
     """Summary of one telescoping term: its mean, spread, and sample count.
 
@@ -90,17 +71,19 @@ class SolutionParameters:
     sigma : float
         Slack exponent used by the level-weighted strategies; ignored by the
         others.  Must be positive.
-    C2 : float, optional
-        Error-law prefactor, when known.
+
+    All four must be finite.
     """
 
     delta: float
     e: float
     alpha: float
     sigma: float = 1.0
-    C2: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("delta", "e", "alpha", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.e > 0:
@@ -111,10 +94,7 @@ class SolutionParameters:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
     def to_json_dict(self):
-        d = {"delta": self.delta, "e": self.e, "alpha": self.alpha, "sigma": self.sigma}
-        if self.C2 is not None:
-            d["C2"] = self.C2
-        return d
+        return {"delta": self.delta, "e": self.e, "alpha": self.alpha, "sigma": self.sigma}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -123,14 +103,11 @@ class SolutionParameters:
             e=float(d["e"]),
             alpha=float(d["alpha"]),
             sigma=float(d.get("sigma", 1.0)),
-            C2=(float(d["C2"]) if d.get("C2") is not None else None),
         )
 
 
 def _values(s):
-    return np.ascontiguousarray(
-        s.values if isinstance(s, SampleSet) else s, dtype=float
-    ).ravel()
+    return np.ascontiguousarray(s, dtype=float).ravel()
 
 
 # A float64 is m * 2**e with 0.5 <= |m| < 1 and -1073 <= e <= 1024 (frexp).
@@ -211,21 +188,6 @@ def unbiased_variance(s):
         except FloatingPointError as exc:
             raise OverflowError("squared deviation out of range") from exc
     return _fsum(d) / (v.size - 1)
-
-
-def multilevel_estimate(terms):
-    """Telescoping-sum estimate: the term means added in ascending term order.
-
-    ``terms`` must carry term indices 1..L exactly once each.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("multilevel estimate needs at least one term")
-    idx = sorted(t.term_index for t in terms)
-    if idx != list(range(1, len(terms) + 1)):
-        raise ValueError(f"term indices must be exactly 1..{len(terms)}, got {idx}")
-    ordered = sorted(terms, key=lambda t: t.term_index)
-    return math.fsum(t.mean for t in ordered)
 
 
 def total_samples_per_level(M):

@@ -8,7 +8,9 @@ multiple of the GBM tile, so a partial last tile is covered.
 
 The report and sample-log digests were computed with the list-and-generator
 statistics and the ``csv.writer`` sample log; the array statistics and the
-column-built log must reproduce them byte for byte.
+column-built log must reproduce them byte for byte.  The classical report
+digests were computed while ``run_classical_mc`` still assembled its own
+report instead of sharing ``run_mlmc``'s term loop.
 """
 
 import dataclasses
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from mlmckit._bits import counter_seeds, normal_lanes
+from mlmckit.cli import main
 from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
 from mlmckit.models import GBMModel, TwoScaleModel
 from mlmckit.planner import plan_strategy2, plan_strategy3
@@ -96,4 +99,30 @@ def test_sample_log_bytes_are_pinned(tmp_path):
     )
     assert _file_digest(tmp_path / "b.csv") == (
         "13cfa68cc6d84a25f195b7b98b4831c43b37df10a97acd25e3b7a375ea57f1e9"
+    )
+
+
+def test_classical_report_bytes_are_pinned():
+    report = run_classical_mc(TwoScaleModel(), 2, 5000, base_seed=3, workers=2)
+    assert _report_digest(report) == (
+        "4c1bc015d1e944ff7f947c890ec051fa987381c31adc88b8bbfb7ae8f5de20fd"
+    )
+
+
+def test_cli_classical_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "model": {"kind": "two_scale"},
+        "strategy": "s3",
+        "pilot_samples": 512,
+        "base_seed": 7,
+        "classical_level": 2,
+        "workers": 2,
+        "out": str(tmp_path / "report.json"),
+    }))
+    assert main(["run", "--config", str(cfg), "--strategy", "mc"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["plan"]["inputs"] is not None
+    assert _file_digest(tmp_path / "report.json") == (
+        "8b6b629b1ce00329b9131029af3a6338fae8187ec7b515effa1dc308fe35be3c"
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -23,8 +24,7 @@ def test_plan_all_strategies(tmp_path, capsys):
     for name in ("ClassicalMC", "S1", "S2", "S3", "S4"):
         assert name in text
     payload = json.loads(out.read_text())
-    assert set(payload) == {"hierarchy", "plans"}
-    assert payload["hierarchy"] == {"r1": 1.0, "C1": 1.0}
+    assert set(payload) == {"plans"}
     by_name = {p["strategy"]: p for p in payload["plans"]}
     assert by_name["ClassicalMC"]["M"] == [59]
     assert by_name["S1"]["M"] == [11, 48, 210]
@@ -50,7 +50,24 @@ def test_plan_flag_errors(tmp_path, capsys):
     assert main(["plan", "--delta", "-3", "--err", "1.0", "--alpha", "1.0"]) == 2
     assert main(["plan", "--delta", "10", "--err", "1.0", "--alpha", "0.0",
                  "--strategy", "s1"]) == 2  # singular level count
+    assert main(["plan", *BENCH_FLAGS, "--r1", "0.5"]) == 2  # flag removed
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--delta", "10", "--err", "inf", "--alpha", "1.0"],
+        ["--delta", "inf", "--err", "1.0", "--alpha", "1.0"],
+        ["--delta", "10", "--err", "1.0", "--alpha", "1.0", "--sigma", "inf"],
+        ["--delta", "10", "--err", "1.0", "--alpha", "1e308"],
+    ],
+)
+def test_plan_inputs_that_are_not_finite_or_overflow_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "plans.json"
+    assert main(["plan", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +118,28 @@ def test_pilot_degenerate_model_exits_3(tmp_path, capsys):
     rc = main(["pilot", "--config", str(cfg), "--samples", "64"])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pilot", "run"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"workers": [1]},
+        {"base_seed": {}},
+        {"pilot_samples": 1e400},
+        {"strategy": ["s1"]},
+        {"plan": 5},
+        {"parameters": {"delta": [1], "e": 0.1, "alpha": 1.0}},
+        {"out": 7},
+        {"sample_log": 7, "log_samples": True},
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, entry):
+    monkeypatch.chdir(tmp_path)  # the default output paths are relative
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", **entry})
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_pilot_bad_config_exits_2(tmp_path, capsys):
@@ -221,6 +260,16 @@ def test_run_sample_log_flag(tmp_path):
     assert len(lines) == 1 + expected
 
 
+@pytest.mark.parametrize("strategy", ["s1", "mc"])
+def test_run_parameters_whose_plan_overflows_exit_2(tmp_path, capsys, strategy):
+    cfg = _two_scale_cfg(
+        tmp_path, parameters={"delta": 1e300, "e": 1e-300, "alpha": 1.0}, strategy=strategy
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot size a plan")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_run_model_failure_exits_4(tmp_path, capsys):
     cfg = tmp_path / "burgers.json"
     plan = {
@@ -327,7 +376,7 @@ def test_report_malformed_exits_5(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# config round trip
+# config
 # ---------------------------------------------------------------------------
 
 def test_config_round_trip():
@@ -342,11 +391,9 @@ def test_config_round_trip():
         "log_samples": True,
         "sample_log": "s.csv",
         "out": "r.json",
-        "hierarchy": {"r1": 0.5, "C1": 2.0},
     }
     cfg = RunConfig.from_json_dict(raw)
-    assert RunConfig.from_json_dict(cfg.to_json_dict()) == cfg
-    assert cfg.to_json_dict()["strategy"] == "s3"
+    assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} == {**raw, "plan": None}
 
 
 def test_config_validation():
@@ -358,3 +405,5 @@ def test_config_validation():
         RunConfig.from_json_dict({"model": {"kind": "two_scale"}, "pilot_samples": 1})
     with pytest.raises(ValueError):
         RunConfig.from_json_dict([1, 2])
+    with pytest.raises(ValueError, match="unknown config keys"):
+        RunConfig.from_json_dict({"model": {"kind": "two_scale"}, "hierarchy": {"r1": 1.0}})

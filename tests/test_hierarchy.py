@@ -1,30 +1,12 @@
+"""The resolution ladder's degrees-of-freedom law, ``planner.relative_dof``."""
+
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mlmckit.hierarchy import (
-    DOF_EXPONENT,
-    REFINEMENT_FACTOR,
-    ResolutionHierarchy,
-    dof_at_level,
-    relative_dof,
-    resolution_at_level,
-)
-
-
-def test_fixed_laws():
-    assert REFINEMENT_FACTOR == 2
-    assert DOF_EXPONENT == 3
-
-
-def test_resolution_doubles_per_level():
-    h = ResolutionHierarchy(r1=0.5)
-    assert resolution_at_level(h, 1) == 0.5
-    assert resolution_at_level(h, 2) == 1.0
-    assert resolution_at_level(h, 3) == 2.0
-    assert resolution_at_level(h, 11) == 0.5 * 2**10
+from mlmckit.planner import relative_dof
 
 
 def test_relative_dof_ladder():
@@ -41,41 +23,7 @@ def test_relative_dof_exact_power_of_two(level):
     assert Fraction(relative_dof(level)) == Fraction(1, 8 ** (level - 1))
 
 
-def test_dof_at_level_with_prefactor():
-    h = ResolutionHierarchy(r1=1.0, C1=480000.0)
-    assert dof_at_level(h, 1) == 480000.0
-    assert dof_at_level(h, 4) == 937.5  # 480000 / 8^3
-
-
-def test_dof_scales_like_relative_dof():
-    h = ResolutionHierarchy(r1=0.25, C1=3.0)
-    base = dof_at_level(h, 1)
-    for level in range(1, 8):
-        assert dof_at_level(h, level) == pytest.approx(base * relative_dof(level), rel=1e-12)
-
-
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
 def test_level_validation(bad):
     with pytest.raises(ValueError):
         relative_dof(bad)
-
-
-def test_hierarchy_validation():
-    with pytest.raises(ValueError):
-        ResolutionHierarchy(r1=0.0)
-    with pytest.raises(ValueError):
-        ResolutionHierarchy(r1=-1.0)
-    with pytest.raises(ValueError):
-        ResolutionHierarchy(r1=1.0, C1=0.0)
-    with pytest.raises(ValueError):
-        ResolutionHierarchy(r1=1.0, refinement_factor=3)
-    with pytest.raises(ValueError):
-        ResolutionHierarchy(r1=1.0, dof_exponent=2)
-
-
-def test_json_round_trip():
-    h = ResolutionHierarchy(r1=0.01, C1=2.5e5)
-    d = h.to_json_dict()
-    assert d == {"r1": 0.01, "C1": 2.5e5}
-    assert ResolutionHierarchy.from_json_dict(d) == h
-    assert ResolutionHierarchy.from_json_dict({"r1": 2.0}) == ResolutionHierarchy(r1=2.0)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlmckit.hierarchy import relative_dof
 from mlmckit.planner import (
     Growth,
     LevelPlan,
@@ -19,7 +18,7 @@ from mlmckit.planner import (
     plan_strategy3,
     plan_strategy4,
     polynomial_n_exponent,
-    predicted_load,
+    relative_dof,
 )
 from mlmckit.stats import SolutionParameters
 
@@ -108,12 +107,6 @@ def test_load_matches_exact_fraction_oracle():
 
     plan2 = plan_strategy2(BENCH)
     assert Fraction(plan2.relative_load) == 11 * Fraction(9, 8) + Fraction(191, 8)
-
-
-def test_predicted_load_agrees_with_plan_field():
-    for planner in ALL_PLANNERS:
-        plan = planner(BENCH)
-        assert predicted_load(plan) == plan.relative_load
 
 
 # ---------------------------------------------------------------------------

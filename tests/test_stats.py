@@ -10,12 +10,10 @@ from mlmckit import stats
 from mlmckit.stats import (
     _fsum,
     LevelTermStats,
-    SampleSet,
     SolutionParameters,
     estimate_alpha,
     estimate_fine_error,
     mc_mean,
-    multilevel_estimate,
     total_samples_per_level,
     unbiased_variance,
 )
@@ -51,14 +49,6 @@ def test_empty_and_short_inputs_rejected():
         mc_mean([])
     with pytest.raises(ValueError):
         unbiased_variance([3.0])
-
-
-def test_sampleset_wraps_values():
-    s = SampleSet(values=np.array([[1.0, 2.0], [3.0, 4.0]]), level=2, term=1)
-    assert s.values == (1.0, 2.0, 3.0, 4.0)
-    assert len(s) == 4
-    assert mc_mean(s) == 2.5
-    assert unbiased_variance(s) == pytest.approx(5.0 / 3.0, rel=1e-15)
 
 
 def _as(kind, values):
@@ -215,24 +205,6 @@ def test_fsum_fallback_gives_the_same_value_or_error(values):
 # telescoping helpers
 # ---------------------------------------------------------------------------
 
-def _term(i, mean, var=0.0, count=10):
-    return LevelTermStats(term_index=i, mean=mean, variance=var, count=count)
-
-
-def test_multilevel_estimate_sums_term_means():
-    terms = [_term(2, -0.5), _term(1, 2.0), _term(3, 0.25)]
-    assert multilevel_estimate(terms) == 1.75
-
-
-def test_multilevel_estimate_validates_indices():
-    with pytest.raises(ValueError):
-        multilevel_estimate([])
-    with pytest.raises(ValueError):
-        multilevel_estimate([_term(1, 0.0), _term(3, 0.0)])
-    with pytest.raises(ValueError):
-        multilevel_estimate([_term(1, 0.0), _term(1, 0.0)])
-
-
 def test_total_samples_shares_adjacent_levels():
     assert total_samples_per_level([11, 48, 210]) == [11, 59, 258]
     assert total_samples_per_level([7]) == [7]
@@ -327,13 +299,16 @@ def test_parameters_validation():
         SolutionParameters(delta=1.0, e=0.1, alpha=1.0, sigma=0.0)
 
 
+@pytest.mark.parametrize("name", ["delta", "e", "alpha", "sigma"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_parameters_reject_non_finite_values(name, bad):
+    kwargs = {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SolutionParameters(**kwargs)
+
+
 def test_parameters_json_round_trip():
     p = SolutionParameters(delta=7.36e7, e=9.6e6, alpha=1.07)
     d = p.to_json_dict()
     assert d == {"delta": 7.36e7, "e": 9.6e6, "alpha": 1.07, "sigma": 1.0}
     assert SolutionParameters.from_json_dict(d) == p
-
-    q = SolutionParameters(delta=1.0, e=0.1, alpha=0.5, sigma=2.0, C2=3.25)
-    d2 = q.to_json_dict()
-    assert d2["C2"] == 3.25
-    assert SolutionParameters.from_json_dict(d2) == q
