@@ -7,7 +7,9 @@ well-distributed stream.  Because the mapping is a pure function of
 worker and yield identical bits.
 """
 
+import functools
 import math
+import threading
 
 import numpy as np
 from scipy.special import ndtri
@@ -16,6 +18,29 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
+
+# Lanes x seeds per tile of ``normal_lanes``: one GBM tile of 256 seeds at
+# 256 steps, and a whole 16384-seed executor chunk at TwoScale's two lanes.
+# A tile's uint64 states and its unit floats (the mixer's scratch until
+# then) take 1 MiB.  Splitting a GBM tile in two made a GBM run a fifth slower.
+_TILE = 1 << 16
+
+_scratch = threading.local()
+
+
+def scratch(key, size, dtype=np.float64):
+    """A per-thread 1-D work array of ``size`` elements, reused across calls.
+
+    The array kept under ``key`` grows to the largest size asked for on its
+    thread and is then reused, so a kernel called once per tile allocates
+    (and page-faults) its buffers once per thread rather than once per call.
+    The next call with the same key on the same thread overwrites it, so it
+    must never be handed to a caller.
+    """
+    buf = _scratch.__dict__.get(key)
+    if buf is None or buf.size < size:
+        buf = _scratch.__dict__[key] = np.empty(size, dtype)
+    return buf[:size]
 
 
 def mix64_int(x):
@@ -26,21 +51,22 @@ def mix64_int(x):
     return x ^ (x >> 31)
 
 
-def _mix64_array(x):
+def _mix64_array(x, t=None):
     """splitmix64 finalizer applied in place to the np.uint64 array ``x``.
 
-    Mixing in place with one scratch buffer, rather than one temporary per
-    ufunc, keeps a tile of lanes in cache.  Returns ``x``.
+    Mixing in place with one scratch buffer ``t`` (of ``x``'s shape; a new
+    one if None), rather than one temporary per ufunc, keeps a tile of lanes
+    in cache.  Returns ``x``.
     """
-    t = np.empty_like(x)
-    # Multiplication wraps mod 2^64 by construction.
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, _M1), (27, _M2)):
-            np.right_shift(x, np.uint64(shift), out=t)
-            x ^= t
-            x *= np.uint64(mult)
-        np.right_shift(x, np.uint64(31), out=t)
+    if t is None:
+        t = np.empty_like(x)
+    # uint64 array arithmetic wraps mod 2^64, silently, as the mixer needs.
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(x, np.uint64(shift), out=t)
         x ^= t
+        x *= np.uint64(mult)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
     return x
 
 
@@ -58,33 +84,62 @@ def counter_seeds(base_seed, start, count):
         raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {base_seed}")
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
-    with np.errstate(over="ignore"):
-        counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        states = np.uint64(base_seed) + np.uint64(GOLDEN) * counters
+    states = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    states *= np.uint64(GOLDEN)
+    states += np.uint64(base_seed)
     return _mix64_array(states)
 
 
-def normal_lanes(seeds, n):
+@functools.lru_cache(maxsize=64)
+def _lane_offsets(n):
+    """GOLDEN * (j+1) for lanes j < n, as a read-only uint64 array."""
+    lanes = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+    lanes.flags.writeable = False
+    return lanes
+
+
+def normal_lanes(seeds, n, out=None):
     """(len(seeds), n) i.i.d. standard normals, one splitmix64 stream per seed.
 
     Lane j of stream s is ndtri of the (0,1) unit float built from
     mix64(s + GOLDEN * (j+1)), stepping before finalizing like splitmix64
     itself (seed 0's first lane must not be the fixed point mix64(0) = 0).
     Bit-identical results for a given (seed, j) regardless of batching.
+
+    The work is lane-major: each tile's counter states are an (n, b) block
+    with one contiguous row per lane, so every ufunc's inner loop runs over
+    seeds however few lanes there are.  The states live in this thread's
+    scratch array, and the mixer's own scratch is the tile of the result,
+    which is written only after.  The result is written into ``out`` (any
+    float64 array of shape (len(seeds), n); the transpose of a C-ordered
+    (n, len(seeds)) array is the fast layout) and returned; without ``out``
+    it is a new array in that layout.  It never shares memory with scratch.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     if n < 0:
         raise ValueError("n must be non-negative")
-    with np.errstate(over="ignore"):
-        lanes = np.uint64(GOLDEN) * np.arange(1, n + 1, dtype=np.uint64)
-        states = seeds[:, None] + lanes[None, :]
-        h = _mix64_array(states)
-    # The top 53 bits, centred in their cell: a unit float strictly in (0, 1).
-    h >>= np.uint64(11)
-    u = h.astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u)
+    if out is None:
+        out = np.empty((n, seeds.size)).T
+    elif out.shape != (seeds.size, n) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be a float64 array of shape {(seeds.size, n)}, "
+            f"got {out.dtype} {out.shape}"
+        )
+    lanes = _lane_offsets(n)[:, None]
+    step = max(1, _TILE // max(n, 1))
+    for start in range(0, seeds.size, step):
+        part = seeds[start : start + step]
+        h = scratch("lanes", n * part.size, np.uint64).reshape(n, part.size)
+        u = out.T[:, start : start + step]
+        np.add(lanes, part, out=h)
+        _mix64_array(h, u.view(np.uint64))
+        # The top 53 bits, centred in their cell: a unit float strictly in (0, 1).
+        h >>= np.uint64(11)
+        np.copyto(u, h, casting="unsafe")
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=u)
+    return out
 
 
 def two_sided_tail(z):

@@ -17,6 +17,7 @@ from typing import Optional
 from .executor import (
     DegenerateModelError,
     ModelEvaluationError,
+    _whole,
     pilot_estimate_parameters,
     run_classical_mc,
     run_mlmc,
@@ -48,15 +49,6 @@ def _sig4(x):
     if x is None:
         return "-"
     return format(x, ".4g")
-
-
-def _check_whole(key, value, low):
-    try:
-        ok = int(value) == value and value >= low
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise _UsageError(f"{key} must be an integer >= {low}, got {value!r}")
 
 
 def _write_json(path, obj):
@@ -123,10 +115,12 @@ class RunConfig:
             raise _UsageError(
                 f"strategy must be one of {sorted(_STRATEGY_FLAGS)}, got {self.strategy!r}"
             )
+        # Whole-number fields become ints here, once, so that 2.0 in a config
+        # file runs exactly as 2 does.
         for key, low in (
             ("pilot_samples", 2), ("base_seed", 0), ("classical_level", 1), ("workers", 1)
         ):
-            _check_whole(key, getattr(self, key), low)
+            setattr(self, key, _whole(key, getattr(self, key), low, None))
         for key in ("sample_log", "out"):
             if not isinstance(getattr(self, key), str):
                 raise _UsageError(f"{key} must be a path, got {getattr(self, key)!r}")
@@ -202,7 +196,7 @@ def cmd_pilot(args):
 
     try:
         params = pilot_estimate_parameters(
-            model, cfg.pilot_samples, cfg.base_seed, workers=int(cfg.workers)
+            model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
         )
     except DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -243,7 +237,7 @@ def _resolve_plan(cfg, model):
         params = SolutionParameters.from_json_dict(cfg.parameters)
     else:
         params = pilot_estimate_parameters(
-            model, cfg.pilot_samples, cfg.base_seed, workers=int(cfg.workers)
+            model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
         )
     return _size(_STRATEGY_FLAGS[cfg.strategy], params, model.max_level)
 
@@ -279,7 +273,7 @@ def cmd_run(args):
                 cfg.classical_level,
                 plan.M[0],
                 cfg.base_seed,
-                workers=int(cfg.workers),
+                workers=cfg.workers,
                 sample_log_path=log_path,
             )
             if plan.inputs is not None:
@@ -289,7 +283,7 @@ def cmd_run(args):
                 model,
                 plan,
                 cfg.base_seed,
-                workers=int(cfg.workers),
+                workers=cfg.workers,
                 sample_log_path=log_path,
             )
     except _UsageError as exc:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bits import normal_lanes
+from ._bits import normal_lanes, scratch
 from .executor import QoIModel
 
 
@@ -203,6 +203,26 @@ class GBMSpec:
         return cls(**out)
 
 
+def _increments(spec, level, seeds, fine, half):
+    """Brownian increments at ``level``, lane-major as an (n_level, B) array.
+
+    All fine increments are drawn into ``fine``, an (n, B) float64 array,
+    then summed pairwise down, alternating between ``half`` (n/2, B) and the
+    head of ``fine``; the result is a view of one of the two.
+    """
+    if not 1 <= level <= spec.max_level:
+        raise ValueError(f"level must be within 1..{spec.max_level}, got {level}")
+    n = spec.steps_at_finest
+    dW, spare = fine, half
+    normal_lanes(seeds, n, out=dW.T)
+    dW *= math.sqrt(spec.T / n)
+    for _ in range(level - 1):
+        coarse = spare[: dW.shape[0] // 2]
+        np.add(dW[0::2], dW[1::2], out=coarse)
+        dW, spare = coarse, dW
+    return dW
+
+
 def gbm_increments(spec, level, seeds):
     """Brownian increments at ``level`` for a batch of seeds, shape (B, n_level).
 
@@ -210,39 +230,46 @@ def gbm_increments(spec, level, seeds):
     the coarse path is an exact coarsening of the fine path for the same
     seed, by construction.
     """
-    if not 1 <= level <= spec.max_level:
-        raise ValueError(f"level must be within 1..{spec.max_level}, got {level}")
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     n = spec.steps_at_finest
-    dW = normal_lanes(seeds, n)
-    dW *= math.sqrt(spec.T / n)
-    for _ in range(level - 1):
-        dW = dW[:, 0::2] + dW[:, 1::2]
-    return dW
+    fine, half = np.empty((n, seeds.size)), np.empty((n // 2, seeds.size))
+    return _increments(spec, level, seeds, fine, half).T
 
 
-def _gbm_batch(spec, level, seeds):
-    dW = gbm_increments(spec, level, seeds)
-    n_level = dW.shape[1]
-    dt = spec.T / n_level
+def _gbm_batch(spec, level, seeds, out):
+    """Terminal states of a tile of seeds, written into ``out``.
+
+    The increments live in this thread's scratch arrays, so a tile
+    allocates nothing the size of its draw.
+    """
+    n, b = spec.steps_at_finest, seeds.size
+    fine = scratch("gbm.fine", n * b).reshape(n, b)
+    half = scratch("gbm.half", n // 2 * b).reshape(n // 2, b)
+    dW = _increments(spec, level, seeds, fine, half)
+    dt = spec.T / dW.shape[0]
     # Euler-Maruyama for GBM is multiplicative, so the terminal state is the
     # plain product of the per-step growth factors (1 + r dt) + vol dW.  They
     # are formed in place; adding 1 + r dt as one scalar keeps that rounding.
     dW *= spec.vol
     dW += 1.0 + spec.r_drift * dt
-    return spec.S0 * np.prod(dW, axis=1)
+    np.prod(dW, axis=0, out=out)
+    out *= spec.S0
+    return out
 
 
 def gbm_evaluate(spec, level, seed):
     """One terminal-state evaluation; defined as the batch-of-one result."""
-    return float(_gbm_batch(spec, level, np.asarray([seed], dtype=np.uint64))[0])
+    return float(_gbm_batch(spec, level, np.asarray([seed], dtype=np.uint64), np.empty(1))[0])
 
 
 class GBMModel(QoIModel):
     """QoIModel facade over :func:`gbm_evaluate` with a vectorized batch path."""
 
-    # Seeds per kernel call.  At 256 fine steps a tile's uint64 states, the
-    # mixer's scratch and the unit floats take 1.5 MiB, which fits a 2 MiB
-    # L2 cache; tiles of 128 to 512 seeds measured alike.
+    # Seeds per kernel call.  At 256 fine steps a tile's draw, its first
+    # halving and normal_lanes's states take 1.25 MiB of per-thread scratch.
+    # On gbm_capped, 128-seed tiles kept 0.6 MB less resident but made the
+    # run 5% slower than 256-seed ones, since each tile costs about 50 us
+    # of calls whatever its size.
     _BATCH = 256
 
     def __init__(self, spec=None):
@@ -253,12 +280,11 @@ class GBMModel(QoIModel):
         return gbm_evaluate(self.spec, level, seed)
 
     def evaluate_many(self, level, seeds):
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        parts = [
-            _gbm_batch(self.spec, level, seeds[i : i + self._BATCH])
-            for i in range(0, len(seeds), self._BATCH)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0)
+        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        out = np.empty(seeds.size)
+        for i in range(0, seeds.size, self._BATCH):
+            _gbm_batch(self.spec, level, seeds[i : i + self._BATCH], out[i : i + self._BATCH])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +490,9 @@ class TwoScaleModel(QoIModel):
         if not 1 <= level <= self.max_level:
             raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
         lanes = _two_normals(np.asarray(seeds, dtype=np.uint64).ravel())
-        return lanes[:, 0] + self._scale(level) * lanes[:, 1]
+        out = np.multiply(lanes[:, 1], self._scale(level))
+        out += lanes[:, 0]
+        return out
 
 
 # The last TwoScale draw on each thread, as (copy of seeds, lanes).  The
@@ -477,14 +505,17 @@ _last_draw = threading.local()
 def _two_normals(seeds):
     old, lanes = getattr(_last_draw, "value", (None, None))
     # Size and first seed reject a new chunk in O(1) before the full compare.
-    if not (
+    if (
         old is not None
         and old.size == seeds.size
         and (old.size == 0 or old[0] == seeds[0])
         and np.array_equal(old, seeds)
     ):
-        lanes = normal_lanes(seeds, 2)
-        _last_draw.value = (seeds.copy(), lanes)
+        return lanes
+    # Let the previous draw go before the next one is made.
+    _last_draw.value = old = lanes = None
+    lanes = normal_lanes(seeds, 2)
+    _last_draw.value = (seeds.copy(), lanes)
     return lanes
 
 

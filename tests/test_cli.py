@@ -246,6 +246,28 @@ def test_run_classical_strategy(tmp_path):
     assert report["a_priori_error_bound"] is not None
 
 
+def test_whole_number_floats_in_a_config_run_as_integers(tmp_path, capsys):
+    # "classical_level": 2.0 once ran the whole ensemble and then exited 2.
+    reports = []
+    for number in (2, 2.0):
+        cfg = _two_scale_cfg(
+            tmp_path, strategy="mc", classical_level=number, workers=number,
+            pilot_samples=200.0, base_seed=17.0,
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        reports.append((tmp_path / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[1])["seeds"]["terms"][0]["levels"] == [2]
+    raw = {"model": {"kind": "two_scale"}, "classical_level": 3.0, "workers": 2.0}
+    cfg = RunConfig.from_json_dict(raw)
+    assert (cfg.classical_level, cfg.workers) == (3, 2)
+    assert type(cfg.classical_level) is int and type(cfg.workers) is int
+    for bad in (2.5, True):
+        cfg = _two_scale_cfg(tmp_path, strategy="mc", classical_level=bad)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "classical_level must be an integer" in capsys.readouterr().err
+
+
 def test_run_sample_log_flag(tmp_path):
     log = tmp_path / "log.csv"
     cfg = _two_scale_cfg(tmp_path)

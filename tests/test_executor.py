@@ -25,6 +25,16 @@ from mlmckit.planner import LevelPlan, StrategyId, plan_for_strategy, plan_strat
 from mlmckit.stats import SolutionParameters, total_samples_per_level, unbiased_variance
 
 
+# Terms sized from the executor's chunk: two full chunks and a ragged tail.
+CHUNK = executor._CHUNK
+SPAN = 2 * CHUNK + 808
+
+
+def _chunks(count):
+    """Seed counts of the chunks a ``count``-sample term is split into."""
+    return [min(CHUNK, count - i) for i in range(0, count, CHUNK)]
+
+
 def _plan(strategy, M, inputs=None, multiplier=4.0):
     return LevelPlan(
         strategy=strategy,
@@ -178,21 +188,24 @@ def pools(monkeypatch):
 
 def test_one_pool_per_call_with_workers(pools):
     model = TwoScaleModel()
-    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 4097, 300)), 0, workers=2)
-    assert pools == [2]
-    pools.clear()
-    pilot_estimate_parameters(model, 9000, 0, workers=2)
-    assert pools == [2]
-    pools.clear()
-    run_classical_mc(model, 1, 9000, 0, workers=3)
-    assert pools == [3]
+    for count in (9000, SPAN):
+        pools.clear()
+        run_mlmc(model, _plan(StrategyId.S1, (count, 5000, 4097, 300)), 0, workers=2)
+        assert pools == [2]
+        pools.clear()
+        pilot_estimate_parameters(model, count, 0, workers=2)
+        assert pools == [2]
+        pools.clear()
+        run_classical_mc(model, 1, count, 0, workers=3)
+        assert pools == [3]
 
 
 def test_no_pool_for_one_worker(pools):
     model = TwoScaleModel()
-    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 300)), 0, workers=1)
-    pilot_estimate_parameters(model, 9000, 0)
-    run_classical_mc(model, 1, 9000, 0)
+    for count in (9000, SPAN):
+        run_mlmc(model, _plan(StrategyId.S1, (count, 5000, 300)), 0, workers=1)
+        pilot_estimate_parameters(model, count, 0)
+        run_classical_mc(model, 1, count, 0)
     assert pools == []
 
 
@@ -225,25 +238,31 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
             self.threads.append(threading.current_thread())
             return super().evaluate_many(level, seeds)
 
-    model = BatchRecorder()
-    run_mlmc(model, _plan(StrategyId.S2, (9000, 100)), 0, workers=workers)
-    seeds = counter_seeds(0, 0, 9100)
-    chunk = executor._CHUNK
-    expect = {
-        (lv, min(chunk, 9000 - i), int(seeds[i]))
-        for i in range(0, 9000, chunk)
-        for lv in (1, 2)
-    } | {(2, 100, int(seeds[9000]))}
-    assert len(model.batches) == len(expect)
-    assert set(model.batches) == expect
-    on_main = [t is threading.main_thread() for t in model.threads]
-    if workers == 1:
-        # One chunk at every level of the term before the next chunk.
-        assert [lv for lv, _, _ in model.batches[:4]] == [1, 2, 1, 2]
-        assert all(on_main)
-    else:
-        # The 9000-seed term's chunks run on the pool; the one-chunk term does not.
-        assert on_main == [False] * 6 + [True]
+    for count in (9000, SPAN):
+        model = BatchRecorder()
+        run_mlmc(model, _plan(StrategyId.S2, (count, 100)), 0, workers=workers)
+        seeds = counter_seeds(0, 0, count + 100)
+        sizes = _chunks(count)
+        expect = {
+            (lv, size, int(seeds[i * CHUNK])) for i, size in enumerate(sizes) for lv in (1, 2)
+        } | {(2, 100, int(seeds[count]))}
+        assert len(model.batches) == len(expect)
+        assert set(model.batches) == expect
+        on_main = [t is threading.main_thread() for t in model.threads]
+        if workers == 1:
+            # One chunk at every level of the term before the next chunk.
+            assert [lv for lv, _, _ in model.batches] == [1, 2] * len(sizes) + [2]
+            assert all(on_main)
+        else:
+            # A term of several chunks runs them on the pool; a one-chunk term does not.
+            pooled = len(sizes) > 1
+            assert on_main == [not pooled] * (2 * len(sizes)) + [True]
+
+
+# A report digest and pilot estimates for terms of SPAN samples at 16384-seed
+# chunks, computed with 4096-seed chunks.
+_SPAN_DIGEST = "14b76edd9d955faeda6dd2dace7581d4abb632c36d4943e12bf48588666857f0"
+_SPAN_PILOT = (1.4115110276813985, 0.1584910056845404)
 
 
 @pytest.fixture
@@ -266,29 +285,39 @@ def draws(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_coupled_term_draws_each_chunk_once(draws, workers):
-    plan = _plan(StrategyId.S1, (9000, 5000, 300))
-    report = run_mlmc(TwoScaleModel(), plan, 21, workers=workers)
-    # Chunks of 4096: three for term 1, two for term 2, one for term 3.
-    assert sorted(draws) == sorted([4096, 4096, 808, 4096, 904, 300])
-    payload = json.dumps(report.to_json_dict(), sort_keys=True)
-    assert hashlib.sha256(payload.encode()).hexdigest() == (
-        "76a1343465ec3ae8da203b85ba94d099fa22b26054b2434f1d50f145eb1c4879"
-    )
+    # The digests were computed with 4096-seed chunks; they hold for any size.
+    for M, digest in (
+        ((9000, 5000, 300), "76a1343465ec3ae8da203b85ba94d099fa22b26054b2434f1d50f145eb1c4879"),
+        ((SPAN, CHUNK + 1, 300), _SPAN_DIGEST),
+    ):
+        draws.clear()
+        report = run_mlmc(TwoScaleModel(), _plan(StrategyId.S1, M), 21, workers=workers)
+        assert sorted(draws) == sorted(_chunks(M[0]) + _chunks(M[1]) + [M[2]])
+        payload = json.dumps(report.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_the_pilot_draws_each_chunk_once(draws, workers):
-    params = pilot_estimate_parameters(TwoScaleModel(), 9000, 21, workers=workers)
-    assert sorted(draws) == [808, 4096, 4096]
-    assert (params.delta, params.e) == (1.4242258335074547, 0.15914689013734465)
+    for count, expect in (
+        (9000, (1.4242258335074547, 0.15914689013734465)),
+        (SPAN, _SPAN_PILOT),
+    ):
+        draws.clear()
+        params = pilot_estimate_parameters(TwoScaleModel(), count, 21, workers=workers)
+        assert sorted(draws) == sorted(_chunks(count))
+        assert (params.delta, params.e) == expect
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
-    # Only one term's seeds, level rows and difference may be alive at once;
-    # that peaks near four times the largest term's float64 bytes.  Keeping
-    # the rows through the statistics (about 7x), or one term's seeds and
-    # difference into the next term's evaluation (about 5.1x), exceeds five.
+    # Only one term's difference may be alive at once, next to the
+    # statistics' squared deviations and, at two workers, each pool thread's
+    # kept draw and scratch: that peaks near 3.6 times the largest term's
+    # float64 bytes.  A per-term seed array and level matrix (4.1-4.2x),
+    # keeping the rows through the statistics (about 7x), or one term's
+    # seeds and difference into the next term's evaluation (about 5.1x)
+    # exceed four.
     M = (26000, 82000, 104000, 104000, 82000, 20480)
     plan = _plan(StrategyId.S3, M)
     tracemalloc.start()
@@ -297,7 +326,7 @@ def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 8 * max(M)
+    assert peak < 4 * 8 * max(M)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +336,13 @@ def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
 def test_reports_byte_identical_across_worker_counts():
     # Counts straddle the internal chunk size so multi-worker scheduling
     # actually kicks in; aggregation order must not depend on it.
-    plan = _plan(StrategyId.S2, (5000, 9000))
-    reports = [
-        run_mlmc(TwoScaleModel(), plan, base_seed=11, workers=w) for w in (1, 3)
-    ]
-    payloads = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
-    assert payloads[0] == payloads[1]
+    for M in ((5000, 9000), (SPAN, CHUNK + 5)):
+        plan = _plan(StrategyId.S2, M)
+        reports = [
+            run_mlmc(TwoScaleModel(), plan, base_seed=11, workers=w) for w in (1, 3)
+        ]
+        payloads = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+        assert payloads[0] == payloads[1]
 
 
 def test_rerun_is_deterministic():
@@ -430,35 +460,49 @@ def test_raised_exception_names_level_and_seed():
     assert exc.value.seed == bad_seed
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
-    class TwoPoisons(TwoScaleModel):
-        def __init__(self, poisons):
+    class Poisons(TwoScaleModel):
+        """Raises at the ``raises`` (level, seed) pairs and returns NaN at ``nans``."""
+
+        def __init__(self, raises=(), nans=()):
             super().__init__()
-            self.poisons = poisons
+            self.raises, self.nans = set(raises), set(nans)
 
         def evaluate(self, level, seed):
-            if (level, int(seed)) in self.poisons:
+            if (level, int(seed)) in self.raises:
                 raise RuntimeError("solver diverged")
+            if (level, int(seed)) in self.nans:
+                return math.nan
             return super().evaluate(level, seed)
 
         def evaluate_many(self, level, seeds):
-            for s in seeds:
-                self.evaluate(level, s)
-            return super().evaluate_many(level, seeds)
+            out = super().evaluate_many(level, seeds)
+            for lv, seed in self.raises | self.nans:
+                for i in np.flatnonzero(seeds == np.uint64(seed)) if lv == level else ():
+                    out[i] = self.evaluate(level, seed)
+            return out
 
-    seeds = counter_seeds(0, 0, 9000)
-    chunk = executor._CHUNK
-    plan = _plan(StrategyId.S2, (9000, 10))
-    # Level 2 fails in the first chunk, level 1 only in the second.
-    late_fine, early_coarse = int(seeds[chunk + 5]), int(seeds[7])
-    with pytest.raises(ModelEvaluationError) as exc:
-        run_mlmc(TwoPoisons({(1, late_fine), (2, early_coarse)}), plan, 0, workers=workers)
-    assert (exc.value.level, exc.value.seed) == (2, early_coarse)
-    # Both levels fail in the same chunk: the lower level is named.
-    with pytest.raises(ModelEvaluationError) as exc:
-        run_mlmc(TwoPoisons({(1, late_fine), (2, int(seeds[chunk + 1]))}), plan, 0, workers=workers)
-    assert (exc.value.level, exc.value.seed) == (1, late_fine)
+    seeds = counter_seeds(0, 0, SPAN)
+    plan = _plan(StrategyId.S2, (SPAN, 10))
+    late_fine, early_coarse = (1, int(seeds[CHUNK + 5])), (2, int(seeds[7]))
+    same_chunk_coarse = (2, int(seeds[CHUNK + 1]))
+
+    def failure(**poisons):
+        with pytest.raises(ModelEvaluationError) as exc:
+            run_mlmc(Poisons(**poisons), plan, 0, workers=workers)
+        return exc.value.level, exc.value.seed
+
+    for kind in ("raises", "nans"):
+        # Level 2 fails in the first chunk, level 1 only in the second.
+        assert failure(**{kind: [late_fine, early_coarse]}) == early_coarse
+        # Both levels fail in the same chunk: the lower level is named.
+        assert failure(**{kind: [late_fine, same_chunk_coarse]}) == late_fine
+    # A NaN and an exception follow the same rule.
+    assert failure(raises=[late_fine], nans=[early_coarse]) == early_coarse
+    assert failure(nans=[late_fine], raises=[early_coarse]) == early_coarse
+    assert failure(nans=[late_fine], raises=[same_chunk_coarse]) == late_fine
+    assert failure(raises=[late_fine], nans=[same_chunk_coarse]) == late_fine
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +541,22 @@ def test_classical_rejections():
         run_classical_mc(model, 1, 0, 0)
     with pytest.raises(ValueError):
         run_classical_mc(model, 1, 10, -5)
+
+
+def test_classical_level_must_be_whole_before_any_draw(monkeypatch):
+    model = TwoScaleModel(max_level=3)
+    by_int = run_classical_mc(model, 2, 50, 0)
+    by_float = run_classical_mc(model, 2.0, 50, 0)
+    assert by_float.to_json_dict() == by_int.to_json_dict()
+    assert by_float.seeds["terms"][0]["levels"] == [2]
+
+    def no_draws(*args):
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr(executor, "counter_seeds", no_draws)
+    for bad in (2.5, True, "2", None, 0, 4):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            run_classical_mc(model, bad, 50, 0)
 
 
 # ---------------------------------------------------------------------------

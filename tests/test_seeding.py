@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 
+from mlmckit import _bits
 from mlmckit._bits import (
     GOLDEN,
     MASK64,
@@ -75,6 +78,71 @@ def test_normal_lanes_match_scalar_mixer_across_wraparound(seed):
         h = mix64_int(seed + GOLDEN * (j + 1))
         u = ((h >> 11) + 0.5) * 2.0**-53
         assert lanes[j] == ndtri(u)
+
+
+def _broadcast_reference(seeds, n):
+    """The seed-major formula normal_lanes started from: (B, 1) + (1, n)
+    states and one new array per step, with the splitmix64 constants spelled
+    out here rather than taken from the module under test."""
+    lanes = np.arange(1, n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = seeds[:, None] + np.uint64(GOLDEN) * lanes[None, :]
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        x = x ^ (x >> np.uint64(31))
+    u = (x >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 256])
+@pytest.mark.parametrize("count", [0, 1, 255, 257, 4097])
+def test_normal_lanes_bytes_equal_the_broadcast_formula(count, n):
+    # 4097 seeds of 256 lanes span 17 tiles, the last one ragged.
+    seeds = counter_seeds(31, 0, count)
+    z = normal_lanes(seeds, n)
+    assert z.shape == (count, n) and z.dtype == np.float64
+    expect = _broadcast_reference(seeds, n)
+    assert np.ascontiguousarray(z).tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+@pytest.mark.parametrize("layout", ["seed-major", "lane-major"])
+@pytest.mark.parametrize("n", [2, 256])
+def test_normal_lanes_into_out_equal_a_fresh_result(layout, n):
+    seeds = counter_seeds(32, 0, 300)
+    fresh = normal_lanes(seeds, n)
+    out = np.full((300, n), np.nan) if layout == "seed-major" else np.full((n, 300), np.nan).T
+    assert normal_lanes(seeds, n, out=out) is out
+    assert np.array_equal(out, fresh)
+    for bad in (np.empty((300, n + 1)), np.empty((299, n)), np.empty((300, n), np.float32)):
+        with pytest.raises(ValueError):
+            normal_lanes(seeds, n, out=bad)
+
+
+def test_normal_lanes_results_never_alias():
+    # TwoScale keeps its last draw across calls, so a result must not be (or
+    # share memory with) the kernel's per-thread scratch or another result.
+    seeds = [counter_seeds(33 + k, 0, 600) for k in range(4)]
+    results = {k: normal_lanes(seeds[k], 2) for k in (0, 1)}
+    barrier = threading.Barrier(2)
+    scratch = list(_bits._scratch.__dict__.values())
+
+    def draw(k):
+        barrier.wait()
+        results[k] = normal_lanes(seeds[k], 2)
+        scratch.extend(_bits._scratch.__dict__.values())
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in (2, 3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert sorted(results) == [0, 1, 2, 3] and len(scratch) >= 3
+    for k, z in results.items():
+        others = [results[j] for j in results if j != k] + scratch
+        assert not any(np.shares_memory(z, other) for other in others)
+        assert np.array_equal(z, _broadcast_reference(seeds[k], 2))
 
 
 def test_normal_lanes_moments():
