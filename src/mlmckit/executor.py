@@ -1,10 +1,10 @@
 """Coupled-ensemble execution over pluggable stochastic QoI models.
 
-A model maps (level, seed) to one scalar QoI evaluation, deterministically:
-the same seed at two adjacent levels must resolve the same underlying
-random realization, which is what makes the telescoping difference terms
-cheap to estimate.  The executor owns seed derivation, scheduling,
-aggregation, and the run report; models own only the physics.
+A model maps a level and a batch of seeds to one scalar QoI per seed,
+deterministically: the same seed at two adjacent levels must resolve the
+same underlying random realization, which is what makes the telescoping
+difference terms cheap to estimate.  The executor owns seed derivation,
+scheduling, aggregation, and the run report; models own only the physics.
 
 Determinism contract: reports are byte-identical for a given
 (model, plan, base_seed) regardless of worker count.  Sample ids are a
@@ -33,7 +33,7 @@ chunks.
 Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk
 in sample order, the lowest failing level of that chunk, and its first
-failing seed at that level.
+failing seed at that level, unless the model raises that error itself.
 """
 
 import math
@@ -90,27 +90,25 @@ class DegenerateModelError(ValueError):
 
 
 class QoIModel(ABC):
-    """Deterministic stochastic-solver facade.
+    """Deterministic stochastic-solver facade, evaluated a batch at a time.
 
-    ``evaluate(level, seed)`` must return the same float on every call, and
-    the same ``seed`` at different levels must resolve the same underlying
-    realization (exact coupling).  ``max_level`` is the coarsest level the
-    model can run.
+    ``evaluate_many(level, seeds)`` returns a ``(len(seeds),)`` float array
+    whose every value is fixed by its seed alone, and the same seed at
+    different levels must resolve the same underlying realization (exact
+    coupling).  A model names a failing seed by raising
+    :class:`ModelEvaluationError`; otherwise one-seed batches find it.
+    ``max_level`` is the coarsest level the model can run.
     """
 
     max_level: int = 1
 
     @abstractmethod
-    def evaluate(self, level, seed):
-        """One QoI evaluation at ``level`` for the realization ``seed``."""
+    def evaluate_many(self, level, seeds):
+        """QoI evaluations at ``level`` for the realizations ``seeds``."""
 
     def cost_hint(self, level):
         """Relative cost of one solve at ``level`` (finest solve = 1)."""
         return relative_dof(level)
-
-    def evaluate_many(self, level, seeds):
-        """Vectorizable batch path; the default just loops ``evaluate``."""
-        return np.asarray([self.evaluate(level, int(s)) for s in seeds], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -185,12 +183,17 @@ def _evaluate_chunk(model, level, chunk):
     except ModelEvaluationError:
         raise
     except Exception as exc:
-        # Locate the offending sample so the abort is actionable.
-        for s in chunk:
+        # Locate the first failing seed, raised or non-finite, with one-seed
+        # batches so the abort is actionable.
+        for k, seed in enumerate(chunk.tolist()):
             try:
-                model.evaluate(level, int(s))
+                one = np.asarray(model.evaluate_many(level, chunk[k : k + 1]), dtype=float)
+            except ModelEvaluationError:
+                raise
             except Exception as inner:
-                raise ModelEvaluationError(level, int(s), inner) from inner
+                raise ModelEvaluationError(level, seed, inner) from inner
+            if not np.isfinite(one).all():
+                raise ModelEvaluationError(level, seed, f"non-finite value {one!r}")
         raise ModelEvaluationError(level, None, exc) from exc
     if out.shape != (len(chunk),):
         raise ModelEvaluationError(

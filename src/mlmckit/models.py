@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._bits import normal_lanes, scratch
-from .executor import QoIModel
+from .executor import ModelEvaluationError, QoIModel
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +257,8 @@ def _gbm_batch(spec, level, seeds, out):
     return out
 
 
-def gbm_evaluate(spec, level, seed):
-    """One terminal-state evaluation; defined as the batch-of-one result."""
-    return float(_gbm_batch(spec, level, np.asarray([seed], dtype=np.uint64), np.empty(1))[0])
-
-
 class GBMModel(QoIModel):
-    """QoIModel facade over :func:`gbm_evaluate` with a vectorized batch path."""
+    """QoIModel that runs the GBM kernel over tiles of ``_BATCH`` seeds."""
 
     # Seeds per kernel call.  At 256 fine steps a tile's draw, its first
     # halving and normal_lanes's states take 1.25 MiB of per-thread scratch.
@@ -275,9 +270,6 @@ class GBMModel(QoIModel):
     def __init__(self, spec=None):
         self.spec = spec if spec is not None else GBMSpec()
         self.max_level = self.spec.max_level
-
-    def evaluate(self, level, seed):
-        return gbm_evaluate(self.spec, level, seed)
 
     def evaluate_many(self, level, seeds):
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
@@ -392,9 +384,18 @@ def burgers_forcing_profile(spec, seed, n_cells):
     return A @ np.cos(phase) + B @ np.sin(phase)
 
 
+class _BlowUp(ValueError):
+    """A row of a Burgers batch blew up; ``args`` are (detail, row)."""
+
+
 def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False):
     """March the semi-discrete system and time-average mean(u^2) over
-    [avg_from, time_horizon].  Returns (qoi, history or None)."""
+    [avg_from, time_horizon].  Returns (qoi, history or None).
+
+    ``u`` is n cells, or (B, n) rows each driven by its row of ``f``.  A row
+    whose max |u| passes the cap or is not finite is zeroed with its forcing
+    and stays at rest; after the last step the first such row raises _BlowUp.
+    """
     dt = _CFL * min(dx * dx / (2.0 * viscosity), dx / _U_CAP)
     steps = max(1, math.ceil(time_horizon / dt))
     dt = time_horizon / steps
@@ -402,54 +403,55 @@ def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False
     inv_dx2 = inv_dx * inv_dx
 
     acc = 0.0
+    blown = np.full((2,) + np.shape(u)[:-1], np.nan)  # (max |u|, t) at blow-up
     history = [] if record else None
     t = 0.0
     for _ in range(steps):
-        um = np.roll(u, 1)
-        up = np.roll(u, -1)
+        um = np.roll(u, 1, axis=-1)
+        up = np.roll(u, -1, axis=-1)
         # Godunov flux for the convex flux u^2/2 at the right face of each cell
         flux = 0.5 * np.maximum(np.maximum(u, 0.0) ** 2, np.minimum(up, 0.0) ** 2)
-        div = (flux - np.roll(flux, 1)) * inv_dx
+        div = (flux - np.roll(flux, 1, axis=-1)) * inv_dx
         lap = (up - 2.0 * u + um) * inv_dx2
         u = u + dt * (-div + viscosity * lap + f)
-        peak = float(np.max(np.abs(u)))
-        if not math.isfinite(peak) or peak > _U_CAP:
-            raise ValueError(
-                f"solution blew up (max |u| = {peak:.4g} vs cap {_U_CAP}) at t={t + dt:.4g}"
-            )
         t_new = t + dt
-        mean_sq = float(np.mean(u * u))
+        peak = np.max(np.abs(u), axis=-1)
+        bad = ~(peak <= _U_CAP)
+        if bad.any():
+            blown = np.where(bad, [peak, np.full_like(peak, t_new)], blown)
+            u, f = np.where(bad[..., None], 0.0, [u, f])
+        mean_sq = np.mean(u * u, axis=-1)
         if record:
             history.append(mean_sq)
         overlap = min(t_new, time_horizon) - max(t, avg_from)
         if overlap > 0.0:
             acc += overlap * mean_sq
         t = t_new
+    for row, (peak, t_blown) in enumerate(blown.reshape(2, -1).T):
+        if not math.isnan(t_blown):
+            detail = f"solution blew up (max |u| = {peak:.4g} vs cap {_U_CAP}) at t={t_blown:.4g}"
+            raise _BlowUp(detail, row)
     qoi = acc / (time_horizon - avg_from)
     return qoi, history
 
 
-def burgers_evaluate(spec, level, seed):
-    """One QoI evaluation: integrate the seed's forcing from rest."""
-    n = spec.cells_at_level(level)
-    dx = spec.domain_length / n
-    f = burgers_forcing_profile(spec, seed, n)
-    u0 = np.zeros(n)
-    qoi, _ = _burgers_integrate(
-        u0, f, dx, spec.viscosity, spec.time_horizon, 0.5 * spec.time_horizon
-    )
-    return qoi
-
-
 class BurgersModel(QoIModel):
-    """QoIModel facade over :func:`burgers_evaluate`."""
+    """QoIModel that integrates all seeds of a batch together, from rest."""
 
     def __init__(self, spec=None):
         self.spec = spec if spec is not None else BurgersSpec()
         self.max_level = self.spec.max_level
 
-    def evaluate(self, level, seed):
-        return burgers_evaluate(self.spec, level, seed)
+    def evaluate_many(self, level, seeds):
+        spec, n = self.spec, self.spec.cells_at_level(level)
+        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        f = np.reshape([burgers_forcing_profile(spec, s, n) for s in seeds.tolist()], (-1, n))
+        T, dx = spec.time_horizon, spec.domain_length / n
+        try:
+            return _burgers_integrate(np.zeros_like(f), f, dx, spec.viscosity, T, 0.5 * T)[0]
+        except _BlowUp as exc:
+            detail, row = exc.args
+            raise ModelEvaluationError(level, int(seeds[row]), detail) from None
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +481,6 @@ class TwoScaleModel(QoIModel):
 
     def _scale(self, level):
         return self.amp * 2.0 ** (self.alpha * (level - 1))
-
-    def evaluate(self, level, seed):
-        if not 1 <= level <= self.max_level:
-            raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
-        lanes = normal_lanes(np.asarray([seed], dtype=np.uint64), 2)[0]
-        return float(lanes[0] + self._scale(level) * lanes[1])
 
     def evaluate_many(self, level, seeds):
         if not 1 <= level <= self.max_level:

@@ -4,7 +4,9 @@ The kernel digests were computed on the straightforward, allocate-per-ufunc
 implementation of ``normal_lanes`` and the GBM batch path.  Any rewrite of
 those kernels (in-place arithmetic, tiling, a different batch size) must
 leave every bit of the output unchanged.  1000 seeds is deliberately not a
-multiple of the GBM tile, so a partial last tile is covered.
+multiple of the GBM tile, so a partial last tile is covered.  The Burgers
+digests were computed with the scalar stepper, one seed at a time; the
+batched stepper must reproduce them.
 
 The report and sample-log digests were computed with the list-and-generator
 statistics and the ``csv.writer`` sample log; the array statistics and the
@@ -23,7 +25,7 @@ import pytest
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.cli import main
 from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
-from mlmckit.models import GBMModel, TwoScaleModel
+from mlmckit.models import BurgersModel, GBMModel, TwoScaleModel
 from mlmckit.planner import plan_strategy2, plan_strategy3
 
 SEEDS = counter_seeds(2024, 0, 1000)
@@ -52,6 +54,21 @@ def test_gbm_evaluate_many_bytes_are_pinned(level):
     values = GBMModel().evaluate_many(level, SEEDS)
     assert values.shape == (1000,)
     assert _digest(values) == GBM_DIGESTS[level]
+
+
+BURGERS_DIGESTS = {
+    1: "2e840db375bf5f0d6786574e8145b6266cd227ad4dc0fc8f7e9dc16e2330be6f",
+    2: "6d94d4a2bd38f780a81184b6c128d695c5f95ef5f1c76a439882b2bc26a67a83",
+    3: "633093270508461e17e242802f51db854934c5c3ec4acbe3abba0752225b098e",
+    4: "e4c15c1e47d40efae026f219662c5ce74e7f77a52d42d0bd12ab0b5e5cc02662",
+}
+
+
+@pytest.mark.parametrize("level", sorted(BURGERS_DIGESTS))
+def test_burgers_evaluate_many_bytes_are_pinned(level):
+    values = BurgersModel().evaluate_many(level, SEEDS[:32])
+    assert values.shape == (32,)
+    assert _digest(values) == BURGERS_DIGESTS[level]
 
 
 def _report_digest(report):

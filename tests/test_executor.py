@@ -53,15 +53,15 @@ class LevelBlindModel(QoIModel):
     def __init__(self, max_level=8):
         self.max_level = max_level
 
-    def evaluate(self, level, seed):
-        return float(normal_lanes(np.asarray([seed], dtype=np.uint64), 1)[0, 0])
+    def evaluate_many(self, level, seeds):
+        return normal_lanes(np.asarray(seeds, dtype=np.uint64), 1)[:, 0]
 
 
 class ConstantModel(QoIModel):
     max_level = 8
 
-    def evaluate(self, level, seed):
-        return 1.5
+    def evaluate_many(self, level, seeds):
+        return np.full(len(seeds), 1.5)
 
 
 class RecorderModel(TwoScaleModel):
@@ -83,13 +83,6 @@ class PoisonModel(TwoScaleModel):
         super().__init__(**kw)
         self.poison = (poison_level, poison_seed)
         self.raise_instead = raise_instead
-
-    def evaluate(self, level, seed):
-        if (level, int(seed)) == self.poison:
-            if self.raise_instead:
-                raise RuntimeError("solver diverged")
-            return math.nan
-        return super().evaluate(level, seed)
 
     def evaluate_many(self, level, seeds):
         out = super().evaluate_many(level, seeds)
@@ -469,18 +462,13 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
             super().__init__()
             self.raises, self.nans = set(raises), set(nans)
 
-        def evaluate(self, level, seed):
-            if (level, int(seed)) in self.raises:
-                raise RuntimeError("solver diverged")
-            if (level, int(seed)) in self.nans:
-                return math.nan
-            return super().evaluate(level, seed)
-
         def evaluate_many(self, level, seeds):
             out = super().evaluate_many(level, seeds)
             for lv, seed in self.raises | self.nans:
                 for i in np.flatnonzero(seeds == np.uint64(seed)) if lv == level else ():
-                    out[i] = self.evaluate(level, seed)
+                    if (lv, seed) in self.raises:
+                        raise RuntimeError("solver diverged")
+                    out[i] = math.nan
             return out
 
     seeds = counter_seeds(0, 0, SPAN)
@@ -503,6 +491,10 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
     assert failure(nans=[late_fine], raises=[early_coarse]) == early_coarse
     assert failure(nans=[late_fine], raises=[same_chunk_coarse]) == late_fine
     assert failure(raises=[late_fine], nans=[same_chunk_coarse]) == late_fine
+    # Within one batch the first failing seed is named, a NaN or a raise.
+    first, later = (1, int(seeds[3])), (1, int(seeds[7]))
+    assert failure(nans=[first], raises=[later]) == first
+    assert failure(raises=[first], nans=[later]) == first
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +584,9 @@ def test_pilot_rejects_growing_differences():
     class InvertedModel(QoIModel):
         max_level = 8
 
-        def evaluate(self, level, seed):
-            lanes = normal_lanes(np.asarray([seed], dtype=np.uint64), 2)[0]
-            return float(lanes[0] + 2.0 ** (-level) * lanes[1])
+        def evaluate_many(self, level, seeds):
+            lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64), 2)
+            return lanes[:, 0] + 2.0 ** (-level) * lanes[:, 1]
 
     with pytest.warns(RuntimeWarning):
         with pytest.raises(DegenerateModelError):

@@ -5,12 +5,14 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 import mlmckit
 from mlmckit._bits import counter_seeds, normal_lanes
+from mlmckit.executor import ModelEvaluationError, run_classical_mc
 from mlmckit.models import (
     BurgersModel,
     BurgersSpec,
@@ -20,10 +22,8 @@ from mlmckit.models import (
     TopographySpec,
     TwoScaleModel,
     _burgers_integrate,
-    burgers_evaluate,
     burgers_forcing_profile,
     evaluate_topography,
-    gbm_evaluate,
     gbm_increments,
     model_from_config,
     sample_topography,
@@ -172,11 +172,12 @@ def test_gbm_spec_ladder():
 
 def test_gbm_zero_vol_is_deterministic_compounding():
     g = GBMSpec(vol=0.0)
+    model = GBMModel(g)
     for level in (1, 2, 4):
         n = g.steps_at_level(level)
         expect = g.S0 * (1.0 + g.r_drift * g.T / n) ** n
         for seed in (0, 999):
-            assert gbm_evaluate(g, level, seed) == pytest.approx(expect, rel=1e-12)
+            assert model.evaluate_many(level, [seed])[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_gbm_increments_coarsen_bitwise():
@@ -188,17 +189,6 @@ def test_gbm_increments_coarsen_bitwise():
     for level in (2, 3, 4):
         fine = fine.reshape(len(seeds), -1, 2).sum(axis=2)
         assert np.array_equal(fine, gbm_increments(g, level, seeds))
-
-
-def test_gbm_scalar_equals_batch():
-    model = GBMModel()
-    tile = GBMModel._BATCH
-    seeds = np.asarray([3, 1234567, 2**63] + list(range(2 * tile + 5)), dtype=np.uint64)
-    for level in range(1, model.max_level + 1):
-        batch = model.evaluate_many(level, seeds)
-        # the fixed seeds, and both sides of the first two tile boundaries
-        for i in (0, 1, 2, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, len(seeds) - 1):
-            assert model.evaluate(level, int(seeds[i])) == batch[i]
 
 
 _FAULTS = textwrap.dedent(
@@ -308,7 +298,7 @@ def test_burgers_zero_forcing_stays_at_rest():
     spec = BurgersSpec(
         forcing=TopographySpec(H=0.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
     )
-    assert burgers_evaluate(spec, 4, 123) == 0.0
+    assert BurgersModel(spec).evaluate_many(4, [123])[0] == 0.0
 
 
 def test_burgers_unforced_energy_never_grows():
@@ -326,19 +316,43 @@ def test_burgers_blow_up_is_reported():
     spec = BurgersSpec(
         forcing=TopographySpec(H=500.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
     )
-    with pytest.raises(ValueError, match="blew up"):
-        burgers_evaluate(spec, 4, 0)
+    with pytest.raises(ModelEvaluationError, match="blew up") as exc:
+        BurgersModel(spec).evaluate_many(4, [0])
+    assert (exc.value.level, exc.value.seed) == (4, 0)
 
 
 def test_burgers_qoi_is_positive_and_coupled():
     spec = BurgersSpec()
     model = BurgersModel(spec)
-    v_coarse = model.evaluate(4, 11)
-    v_next = model.evaluate(3, 11)
+    v_coarse = model.evaluate_many(4, [11])[0]
+    v_next = model.evaluate_many(3, [11])[0]
     assert v_coarse > 0.0
     assert v_next > 0.0
     # same realization on both grids: values differ but not wildly
     assert abs(v_next - v_coarse) < max(v_next, v_coarse)
+
+
+def test_burgers_names_the_first_blown_seed_in_seed_order():
+    # 13 of these 64 seeds blow up.  Index 2 blows up at t = 0.225 and index
+    # 4 earlier, at t = 0.1875: a batch names its first blown seed in seed
+    # order, not the first to blow up in time.
+    forcing = TopographySpec(H=20.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+    model = BurgersModel(BurgersSpec(cells_at_finest=32, max_level=1, forcing=forcing))
+    seeds = counter_seeds(0, 0, 64)
+    blown_at = {}
+    for i in range(len(seeds)):
+        try:
+            model.evaluate_many(1, seeds[i : i + 1])
+        except ModelEvaluationError as exc:
+            blown_at[i] = str(exc).rsplit("t=", 1)[1]
+    assert len(blown_at) == 13 and min(blown_at) == 2
+    assert (blown_at[2], blown_at[4]) == ("0.225", "0.1875")
+    for workers in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ModelEvaluationError, match="blew up") as exc:
+                run_classical_mc(model, 1, 64, base_seed=0, workers=workers)
+        assert (exc.value.level, exc.value.seed) == (1, int(seeds[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +364,10 @@ def test_two_scale_formula():
     lanes = normal_lanes(np.asarray([42], dtype=np.uint64), 2)[0]
     for level in (1, 2, 5):
         expect = lanes[0] + 0.5 * 2.0 ** (level - 1) * lanes[1]
-        assert m.evaluate(level, 42) == expect
+        assert m.evaluate_many(level, [42])[0] == expect
     batch = m.evaluate_many(2, np.asarray([42, 43], dtype=np.uint64))
-    assert batch[0] == m.evaluate(2, 42)
-    assert batch[1] == m.evaluate(2, 43)
+    assert batch[0] == m.evaluate_many(2, [42])[0]
+    assert batch[1] == m.evaluate_many(2, [43])[0]
 
 
 def test_two_scale_difference_ratio_is_exact():
@@ -406,7 +420,8 @@ def test_two_scale_batch_accepts_empty_and_list_seeds():
     for level in (1, 2):
         expect = _two_scale_reference(m, level, seeds)
         assert np.array_equal(m.evaluate_many(level, seeds), expect)
-        assert expect[2] == m.evaluate(level, seeds[2])
+    for level in (1, 2):
+        assert _two_scale_reference(m, level, seeds)[2] == m.evaluate_many(level, seeds[2:3])[0]
 
 
 def test_two_scale_model_pickles():
@@ -426,13 +441,46 @@ def test_two_scale_validation():
     with pytest.raises(ValueError):
         TwoScaleModel(amp=-1.0)
     with pytest.raises(ValueError):
-        TwoScaleModel(max_level=4).evaluate(5, 0)
+        TwoScaleModel(max_level=4).evaluate_many(5, [0])
 
 
 def test_cost_hint_defaults_to_relative_dof():
     m = TwoScaleModel()
     assert m.cost_hint(1) == 1.0
     assert m.cost_hint(3) == 1.0 / 64.0
+
+
+# ---------------------------------------------------------------------------
+# the batch contract, for every model
+# ---------------------------------------------------------------------------
+
+CONTRACT_MODELS = {
+    "gbm": GBMModel,
+    "two_scale": TwoScaleModel,
+    "burgers": lambda: BurgersModel(BurgersSpec(cells_at_finest=32, max_level=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
+def test_model_batch_contract(name):
+    model = CONTRACT_MODELS[name]()
+    clone = pickle.loads(pickle.dumps(model))
+    tile = GBMModel._BATCH
+    seeds = np.asarray([3, 1234567, 2**63] + list(range(2 * tile + 5)), dtype=np.uint64)
+    for level in range(1, model.max_level + 1):
+        batch = model.evaluate_many(level, seeds)
+        assert batch.shape == (len(seeds),) and batch.dtype == np.float64
+        assert np.array_equal(model.evaluate_many(level, seeds), batch)
+        assert np.array_equal(clone.evaluate_many(level, seeds), batch)
+        # A seed's value does not depend on its batch: the fixed seeds, and
+        # both sides of GBM's first two tile boundaries, one seed at a time.
+        for i in (0, 1, 2, tile - 1, tile, tile + 1, 2 * tile - 1, 2 * tile, len(seeds) - 1):
+            assert model.evaluate_many(level, seeds[i : i + 1])[0] == batch[i]
+        assert model.evaluate_many(level, []).shape == (0,)
+        assert np.array_equal(model.evaluate_many(level, seeds[:5].tolist()), batch[:5])
+    for level in (0, model.max_level + 1):
+        with pytest.raises(ValueError):
+            model.evaluate_many(level, seeds[:1])
 
 
 # ---------------------------------------------------------------------------
