@@ -8,7 +8,6 @@ worker and yield identical bits.
 """
 
 import functools
-import math
 import threading
 
 import numpy as np
@@ -19,10 +18,20 @@ GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
-# Lanes x seeds per tile of ``normal_lanes``: one GBM tile of 256 seeds at
-# 256 steps, and a whole 16384-seed executor chunk at TwoScale's two lanes.
-# A tile's uint64 states and its unit floats (the mixer's scratch until
-# then) take 1 MiB.  Splitting a GBM tile in two made a GBM run a fifth slower.
+# Lanes x seeds per tile, the one tile rule for every kernel that steps a
+# batch in tiles (see _tiles): a tile holds max(1, _TILE // lanes) seeds,
+# where lanes is what one seed needs: normals, time steps or cells.
+# - normal_lanes: a tile's uint64 states and its unit floats (the mixer's
+#   scratch until then) take 1 MiB, and a 16384-seed executor chunk at
+#   TwoScale's two normals is one tile.  Drawing a GBM tile in two
+#   normal_lanes tiles made a GBM run a fifth slower.
+# - GBM, 256 seeds at the default 256 steps: a tile's draw, its first
+#   halving and normal_lanes's states take 1.25 MiB of per-thread scratch.
+#   On gbm_capped, 128-seed tiles kept 0.6 MB less resident but made the
+#   run 5% slower, since each tile costs about 50 us of calls whatever its
+#   size.
+# - Burgers, 256 seeds at 256 cells: about ten (B, n) float64 arrays are
+#   alive per step, so a tile peaks near 5 MiB however large the chunk.
 _TILE = 1 << 16
 
 _scratch = threading.local()
@@ -41,6 +50,15 @@ def scratch(key, size, dtype=np.float64):
     if buf is None or buf.size < size:
         buf = _scratch.__dict__[key] = np.empty(size, dtype)
     return buf[:size]
+
+
+def _tiles(size, lanes):
+    """Consecutive slices of ``max(1, _TILE // lanes)`` over a batch of ``size`` seeds.
+
+    ``_TILE`` is read at each call, so a test can patch it.
+    """
+    step = max(1, _TILE // max(lanes, 1))
+    return [slice(start, start + step) for start in range(0, size, step)]
 
 
 def mix64_int(x):
@@ -126,11 +144,10 @@ def normal_lanes(seeds, n, out=None):
             f"got {out.dtype} {out.shape}"
         )
     lanes = _lane_offsets(n)[:, None]
-    step = max(1, _TILE // max(n, 1))
-    for start in range(0, seeds.size, step):
-        part = seeds[start : start + step]
+    for tile in _tiles(seeds.size, n):
+        part = seeds[tile]
         h = scratch("lanes", n * part.size, np.uint64).reshape(n, part.size)
-        u = out.T[:, start : start + step]
+        u = out.T[:, tile]
         np.add(lanes, part, out=h)
         _mix64_array(h, u.view(np.uint64))
         # The top 53 bits, centred in their cell: a unit float strictly in (0, 1).
@@ -140,8 +157,3 @@ def normal_lanes(seeds, n, out=None):
         u *= 2.0**-53
         ndtri(u, out=u)
     return out
-
-
-def two_sided_tail(z):
-    """P(|N(0,1)| > z); handy for calibrating statistical test tolerances."""
-    return math.erfc(z / math.sqrt(2.0))

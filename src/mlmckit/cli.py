@@ -45,6 +45,23 @@ class _UsageError(ValueError):
     """Config/flag problems that map to exit code 2."""
 
 
+class _BadReport(ValueError):
+    """A report file the ``report`` command cannot read; maps to exit code 5."""
+
+    def __str__(self):
+        return f"malformed report: {super().__str__()}"
+
+
+# The exit code of each error a command raises, most specific first:
+# DegenerateModelError is a ValueError too.
+_EXIT_CODES = (
+    (_BadReport, EXIT_BAD_REPORT),
+    (DegenerateModelError, EXIT_DEGENERATE),
+    (ModelEvaluationError, EXIT_MODEL_FAILURE),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def _sig4(x):
     if x is None:
         return "-"
@@ -150,18 +167,14 @@ def _size(strategy, params, max_levels):
 
 
 def cmd_plan(args):
-    try:
-        params = SolutionParameters(
-            delta=args.delta, e=args.err, alpha=args.alpha, sigma=args.sigma
-        )
-        if args.strategy == "all":
-            chosen = list(StrategyId)
-        else:
-            chosen = [_STRATEGY_FLAGS[args.strategy]]
-        plans = [_size(s, params, args.max_levels) for s in chosen]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = SolutionParameters(
+        delta=args.delta, e=args.err, alpha=args.alpha, sigma=args.sigma
+    )
+    if args.strategy == "all":
+        chosen = list(StrategyId)
+    else:
+        chosen = [_STRATEGY_FLAGS[args.strategy]]
+    plans = [_size(s, params, args.max_levels) for s in chosen]
 
     header = f"{'strategy':<12} {'L':>2}  {'M':<28} {'bound/e':>7} {'load':>10}"
     print(header)
@@ -182,31 +195,16 @@ def cmd_plan(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pilot(args):
-    try:
-        cfg = _load_config(args.config)
-        if args.samples is not None:
-            cfg.pilot_samples = args.samples
-        if args.seed is not None:
-            cfg.base_seed = args.seed
-        cfg.validate()
-        model = model_from_config(cfg.model)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        params = pilot_estimate_parameters(
-            model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
-        )
-    except DegenerateModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ModelEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _load_config(args.config)
+    if args.samples is not None:
+        cfg.pilot_samples = args.samples
+    if args.seed is not None:
+        cfg.base_seed = args.seed
+    cfg.validate()
+    model = model_from_config(cfg.model)
+    params = pilot_estimate_parameters(
+        model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
+    )
 
     print(
         f"pilot ({cfg.pilot_samples} coupled samples, seed {cfg.base_seed}): "
@@ -243,61 +241,40 @@ def _resolve_plan(cfg, model):
 
 
 def cmd_run(args):
-    try:
-        cfg = _load_config(args.config)
-        if args.seed is not None:
-            cfg.base_seed = args.seed
-        if args.strategy is not None:
-            cfg.strategy = args.strategy
-        if args.out is not None:
-            cfg.out = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
-        if args.log_samples:
-            cfg.log_samples = True
-        if args.sample_log is not None:
-            cfg.sample_log = args.sample_log
-            cfg.log_samples = True
-        cfg.validate()
-        model = model_from_config(cfg.model)
-    except (_UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg.base_seed = args.seed
+    if args.strategy is not None:
+        cfg.strategy = args.strategy
+    if args.out is not None:
+        cfg.out = args.out
+    if args.workers is not None:
+        cfg.workers = args.workers
+    if args.log_samples:
+        cfg.log_samples = True
+    if args.sample_log is not None:
+        cfg.sample_log = args.sample_log
+        cfg.log_samples = True
+    cfg.validate()
+    model = model_from_config(cfg.model)
 
     log_path = cfg.sample_log if cfg.log_samples else None
-    try:
-        plan = _resolve_plan(cfg, model)
-        if plan.strategy is StrategyId.CLASSICAL_MC:
-            report = run_classical_mc(
-                model,
-                cfg.classical_level,
-                plan.M[0],
-                cfg.base_seed,
-                workers=cfg.workers,
-                sample_log_path=log_path,
-            )
-            if plan.inputs is not None:
-                report = replace(report, plan=plan)
-        else:
-            report = run_mlmc(
-                model,
-                plan,
-                cfg.base_seed,
-                workers=cfg.workers,
-                sample_log_path=log_path,
-            )
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegenerateModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ModelEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL_FAILURE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    plan = _resolve_plan(cfg, model)
+    if plan.strategy is StrategyId.CLASSICAL_MC:
+        report = run_classical_mc(
+            model,
+            cfg.classical_level,
+            plan.M[0],
+            cfg.base_seed,
+            workers=cfg.workers,
+            sample_log_path=log_path,
+        )
+        if plan.inputs is not None:
+            report = replace(report, plan=plan)
+    else:
+        report = run_mlmc(
+            model, plan, cfg.base_seed, workers=cfg.workers, sample_log_path=log_path
+        )
 
     print(
         f"{plan.strategy.value}: estimate={_sig4(report.estimate)} "
@@ -325,31 +302,27 @@ def _read_report(path):
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}")
+        raise _BadReport(f"{path}: {exc}")
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: report must be a JSON object")
+        raise _BadReport(f"{path}: report must be a JSON object")
     missing = [k for k in _REPORT_KEYS if k not in raw]
     if missing:
-        raise ValueError(f"{path}: missing report fields {missing}")
+        raise _BadReport(f"{path}: missing report fields {missing}")
     out = {}
     for k in _REPORT_KEYS:
         v = raw[k]
         if v is not None and not isinstance(v, (int, float)):
-            raise ValueError(f"{path}: field {k!r} must be a number or null")
+            raise _BadReport(f"{path}: field {k!r} must be a number or null")
         out[k] = v
     if not isinstance(raw.get("plan"), dict) or "strategy" not in raw["plan"]:
-        raise ValueError(f"{path}: missing or malformed plan")
+        raise _BadReport(f"{path}: missing or malformed plan")
     out["strategy"] = raw["plan"]["strategy"]
     out["path"] = path
     return out
 
 
 def cmd_report(args):
-    try:
-        rows = [_read_report(p) for p in args.reports]
-    except ValueError as exc:
-        print(f"error: malformed report: {exc}", file=sys.stderr)
-        return EXIT_BAD_REPORT
+    rows = [_read_report(p) for p in args.reports]
 
     header = (
         f"{'report':<24} {'strategy':<12} {'estimate':>12} {'std_err':>10} "
@@ -431,7 +404,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ModelEvaluationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bits import normal_lanes, scratch
+from ._bits import _tiles, normal_lanes, scratch
 from .executor import ModelEvaluationError, QoIModel
 
 
@@ -208,10 +208,9 @@ def _increments(spec, level, seeds, fine, half):
 
     All fine increments are drawn into ``fine``, an (n, B) float64 array,
     then summed pairwise down, alternating between ``half`` (n/2, B) and the
-    head of ``fine``; the result is a view of one of the two.
+    head of ``fine``; the result is a view of one of the two.  ``level``
+    must be one of the spec's levels.
     """
-    if not 1 <= level <= spec.max_level:
-        raise ValueError(f"level must be within 1..{spec.max_level}, got {level}")
     n = spec.steps_at_finest
     dW, spare = fine, half
     normal_lanes(seeds, n, out=dW.T)
@@ -221,19 +220,6 @@ def _increments(spec, level, seeds, fine, half):
         np.add(dW[0::2], dW[1::2], out=coarse)
         dW, spare = coarse, dW
     return dW
-
-
-def gbm_increments(spec, level, seeds):
-    """Brownian increments at ``level`` for a batch of seeds, shape (B, n_level).
-
-    Always generated at the finest resolution, then pairwise-summed down:
-    the coarse path is an exact coarsening of the fine path for the same
-    seed, by construction.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    n = spec.steps_at_finest
-    fine, half = np.empty((n, seeds.size)), np.empty((n // 2, seeds.size))
-    return _increments(spec, level, seeds, fine, half).T
 
 
 def _gbm_batch(spec, level, seeds, out):
@@ -258,24 +244,22 @@ def _gbm_batch(spec, level, seeds, out):
 
 
 class GBMModel(QoIModel):
-    """QoIModel that runs the GBM kernel over tiles of ``_BATCH`` seeds."""
+    """QoIModel that runs the GBM kernel over tiles of seeds.
 
-    # Seeds per kernel call.  At 256 fine steps a tile's draw, its first
-    # halving and normal_lanes's states take 1.25 MiB of per-thread scratch.
-    # On gbm_capped, 128-seed tiles kept 0.6 MB less resident but made the
-    # run 5% slower than 256-seed ones, since each tile costs about 50 us
-    # of calls whatever its size.
-    _BATCH = 256
+    A tile holds ``_bits._TILE // steps_at_finest`` seeds (at least one):
+    256 seeds at the default 256 steps.
+    """
 
     def __init__(self, spec=None):
         self.spec = spec if spec is not None else GBMSpec()
         self.max_level = self.spec.max_level
 
     def evaluate_many(self, level, seeds):
+        self.spec.steps_at_level(level)  # rejects a level out of range
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         out = np.empty(seeds.size)
-        for i in range(0, seeds.size, self._BATCH):
-            _gbm_batch(self.spec, level, seeds[i : i + self._BATCH], out[i : i + self._BATCH])
+        for tile in _tiles(seeds.size, self.spec.steps_at_finest):
+            _gbm_batch(self.spec, level, seeds[tile], out[tile])
         return out
 
 
@@ -436,7 +420,13 @@ def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False
 
 
 class BurgersModel(QoIModel):
-    """QoIModel that integrates all seeds of a batch together, from rest."""
+    """QoIModel that integrates a batch from rest, one tile of seeds at a time.
+
+    A tile of ``_bits._TILE // n`` seeds (n cells, at least one seed) steps
+    together as one (B, n) array, so a batch's working set is one tile's.
+    Tiles run in seed order, each to its last step, so a batch names its
+    first blown seed in seed order.
+    """
 
     def __init__(self, spec=None):
         self.spec = spec if spec is not None else BurgersSpec()
@@ -445,13 +435,19 @@ class BurgersModel(QoIModel):
     def evaluate_many(self, level, seeds):
         spec, n = self.spec, self.spec.cells_at_level(level)
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        f = np.reshape([burgers_forcing_profile(spec, s, n) for s in seeds.tolist()], (-1, n))
         T, dx = spec.time_horizon, spec.domain_length / n
-        try:
-            return _burgers_integrate(np.zeros_like(f), f, dx, spec.viscosity, T, 0.5 * T)[0]
-        except _BlowUp as exc:
-            detail, row = exc.args
-            raise ModelEvaluationError(level, int(seeds[row]), detail) from None
+        out = np.empty(seeds.size)
+        for tile in _tiles(seeds.size, n):
+            part = seeds[tile]
+            f = np.reshape([burgers_forcing_profile(spec, s, n) for s in part.tolist()], (-1, n))
+            try:
+                out[tile] = _burgers_integrate(
+                    np.zeros_like(f), f, dx, spec.viscosity, T, 0.5 * T
+                )[0]
+            except _BlowUp as exc:
+                detail, row = exc.args
+                raise ModelEvaluationError(level, int(part[row]), detail) from None
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import platform
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import mlmckit
+from mlmckit import _bits
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.executor import ModelEvaluationError, run_classical_mc
 from mlmckit.models import (
@@ -22,9 +24,9 @@ from mlmckit.models import (
     TopographySpec,
     TwoScaleModel,
     _burgers_integrate,
+    _increments,
     burgers_forcing_profile,
     evaluate_topography,
-    gbm_increments,
     model_from_config,
     sample_topography,
     write_topography_csv,
@@ -185,10 +187,16 @@ def test_gbm_increments_coarsen_bitwise():
     # halves, so coupling across levels is exact by construction.
     g = GBMSpec()
     seeds = np.arange(17, dtype=np.uint64)
-    fine = gbm_increments(g, 1, seeds)
+    n = g.steps_at_finest
+
+    def increments(level):
+        fine, half = np.empty((n, seeds.size)), np.empty((n // 2, seeds.size))
+        return _increments(g, level, seeds, fine, half).T
+
+    fine = increments(1)
     for level in (2, 3, 4):
         fine = fine.reshape(len(seeds), -1, 2).sum(axis=2)
-        assert np.array_equal(fine, gbm_increments(g, level, seeds))
+        assert np.array_equal(fine, increments(level))
 
 
 _FAULTS = textwrap.dedent(
@@ -332,10 +340,11 @@ def test_burgers_qoi_is_positive_and_coupled():
     assert abs(v_next - v_coarse) < max(v_next, v_coarse)
 
 
-def test_burgers_names_the_first_blown_seed_in_seed_order():
+def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
     # 13 of these 64 seeds blow up.  Index 2 blows up at t = 0.225 and index
     # 4 earlier, at t = 0.1875: a batch names its first blown seed in seed
-    # order, not the first to blow up in time.
+    # order, not the first to blow up in time, whether the two share a tile
+    # (the default: 2048 seeds at 32 cells) or not (3 seeds).
     forcing = TopographySpec(H=20.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
     model = BurgersModel(BurgersSpec(cells_at_finest=32, max_level=1, forcing=forcing))
     seeds = counter_seeds(0, 0, 64)
@@ -347,12 +356,30 @@ def test_burgers_names_the_first_blown_seed_in_seed_order():
             blown_at[i] = str(exc).rsplit("t=", 1)[1]
     assert len(blown_at) == 13 and min(blown_at) == 2
     assert (blown_at[2], blown_at[4]) == ("0.225", "0.1875")
-    for workers in (1, 2):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ModelEvaluationError, match="blew up") as exc:
-                run_classical_mc(model, 1, 64, base_seed=0, workers=workers)
-        assert (exc.value.level, exc.value.seed) == (1, int(seeds[2]))
+    for tile in (_bits._TILE, 3 * 32):
+        monkeypatch.setattr(_bits, "_TILE", tile)
+        for workers in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ModelEvaluationError, match="blew up") as exc:
+                    run_classical_mc(model, 1, 64, base_seed=0, workers=workers)
+            assert (exc.value.level, exc.value.seed) == (1, int(seeds[2]))
+
+
+def test_burgers_working_set_is_one_tile():
+    # At 32 cells a tile is 2048 seeds, so a 16384-seed chunk, eight tiles,
+    # peaks about as high as one tile does.
+    model = BurgersModel(BurgersSpec(cells_at_finest=32, max_level=1, time_horizon=0.1))
+    peaks = []
+    for count in (2048, 16384):
+        seeds = counter_seeds(0, 0, count)
+        tracemalloc.start()
+        try:
+            model.evaluate_many(1, seeds)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,11 +489,12 @@ CONTRACT_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_MODELS))
-def test_model_batch_contract(name):
+def test_model_batch_contract(name, monkeypatch):
     model = CONTRACT_MODELS[name]()
     clone = pickle.loads(pickle.dumps(model))
-    tile = GBMModel._BATCH
+    tile = 256  # GBM's default tile of seeds
     seeds = np.asarray([3, 1234567, 2**63] + list(range(2 * tile + 5)), dtype=np.uint64)
+    batches = {}
     for level in range(1, model.max_level + 1):
         batch = model.evaluate_many(level, seeds)
         assert batch.shape == (len(seeds),) and batch.dtype == np.float64
@@ -478,9 +506,16 @@ def test_model_batch_contract(name):
             assert model.evaluate_many(level, seeds[i : i + 1])[0] == batch[i]
         assert model.evaluate_many(level, []).shape == (0,)
         assert np.array_equal(model.evaluate_many(level, seeds[:5].tolist()), batch[:5])
+        batches[level] = batch
     for level in (0, model.max_level + 1):
-        with pytest.raises(ValueError):
-            model.evaluate_many(level, seeds[:1])
+        for bad in (seeds[:1], []):
+            with pytest.raises(ValueError):
+                model.evaluate_many(level, bad)
+    # Small tiles (one GBM seed, 3 or 6 Burgers seeds, 50 TwoScale seeds)
+    # cross many tile boundaries and give the same bits.
+    monkeypatch.setattr(_bits, "_TILE", 100)
+    for level, batch in batches.items():
+        assert np.array_equal(model.evaluate_many(level, seeds), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from mlmckit._bits import (
     counter_seeds,
     mix64_int,
     normal_lanes,
-    two_sided_tail,
 )
 
 u64 = st.integers(min_value=0, max_value=MASK64)
@@ -156,16 +155,3 @@ def test_lanes_are_decorrelated():
     lanes = normal_lanes(counter_seeds(99, 0, 20_000), 2)
     corr = np.corrcoef(lanes[:, 0], lanes[:, 1])[0, 1]
     assert abs(corr) < 0.03
-
-
-@settings(max_examples=30)
-@given(st.floats(min_value=0.0, max_value=6.0))
-def test_two_sided_tail_matches_erf_identity(zval):
-    import math
-
-    assert two_sided_tail(zval) == pytest.approx(math.erfc(zval / math.sqrt(2.0)), rel=1e-13)
-
-
-def test_two_sided_tail_known_values():
-    assert two_sided_tail(0.0) == 1.0
-    assert two_sided_tail(1.959963984540054) == pytest.approx(0.05, rel=1e-9)
