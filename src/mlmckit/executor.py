@@ -34,6 +34,8 @@ Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk
 in sample order, the lowest failing level of that chunk, and its first
 failing seed at that level, unless the model raises that error itself.
+A raised error is traced to its seed by halving the batch, in O(log chunk)
+calls (see :func:`_evaluate_chunk`).
 """
 
 import math
@@ -96,7 +98,8 @@ class QoIModel(ABC):
     whose every value is fixed by its seed alone, and the same seed at
     different levels must resolve the same underlying realization (exact
     coupling).  A model names a failing seed by raising
-    :class:`ModelEvaluationError`; otherwise one-seed batches find it.
+    :class:`ModelEvaluationError`; otherwise the executor halves a batch
+    that raises until it finds the seed (see :func:`_evaluate_chunk`).
     ``max_level`` is the coarsest level the model can run.
     """
 
@@ -177,28 +180,37 @@ def _pool(workers):
     return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
 
-def _evaluate_chunk(model, level, chunk):
+def _evaluate_chunk(model, level, seeds):
+    """``model``'s values at ``level`` for ``seeds``, all finite, or the failure.
+
+    The executor's failure rule lives here alone.  A batch that raises is
+    split in two and each half evaluated the same way, in order, so the
+    first failing seed, raised or non-finite, is named in at most
+    2 * ceil(log2(len(seeds))) + 1 ``evaluate_many`` calls.  That evaluates
+    up to about 2 * len(seeds) seeds beyond the failing batch, where
+    one-seed batches would evaluate len(seeds) seeds in as many calls.  A
+    batch that raises while both its halves succeed, or that returns the
+    wrong shape, names no seed.
+    """
     try:
-        out = np.asarray(model.evaluate_many(level, chunk), dtype=float)
+        out = np.asarray(model.evaluate_many(level, seeds), dtype=float)
     except ModelEvaluationError:
         raise
     except Exception as exc:
-        # Locate the first failing seed, raised or non-finite, with one-seed
-        # batches so the abort is actionable.
-        for k, seed in enumerate(chunk.tolist()):
-            try:
-                one = np.asarray(model.evaluate_many(level, chunk[k : k + 1]), dtype=float)
-            except ModelEvaluationError:
-                raise
-            except Exception as inner:
-                raise ModelEvaluationError(level, seed, inner) from inner
-            if not np.isfinite(one).all():
-                raise ModelEvaluationError(level, seed, f"non-finite value {one!r}")
+        if len(seeds) == 1:
+            raise ModelEvaluationError(level, int(seeds[0]), exc) from exc
+        half = len(seeds) // 2
+        _evaluate_chunk(model, level, seeds[:half])
+        _evaluate_chunk(model, level, seeds[half:])
         raise ModelEvaluationError(level, None, exc) from exc
-    if out.shape != (len(chunk),):
+    if out.shape != (len(seeds),):
         raise ModelEvaluationError(
-            level, None, f"batch returned shape {out.shape} for {len(chunk)} seeds"
+            level, None, f"batch returned shape {out.shape} for {len(seeds)} seeds"
         )
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ModelEvaluationError(level, int(seeds[bad]), f"non-finite value {out[bad]!r}")
     return out
 
 
@@ -210,8 +222,8 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, keep=False):
     ``keep``, ``rows`` holds one row of values per level; otherwise None.
 
     This is the executor's one loop over samples.  Each chunk task derives
-    its own seeds, evaluates them at every level in ascending order, checks
-    each level's values are finite and writes its slice of ``values``.
+    its own seeds, evaluates them at every level in ascending order through
+    :func:`_evaluate_chunk` and writes its slice of ``values``.
     """
     values = np.empty(count)
     rows = np.empty((len(levels), count)) if keep else None
@@ -221,12 +233,6 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, keep=False):
         done = slice(i, i + len(seeds))
         for j, level in enumerate(levels):
             out = _evaluate_chunk(model, level, seeds)
-            finite = np.isfinite(out)
-            if not finite.all():
-                bad = int(np.argmin(finite))
-                raise ModelEvaluationError(
-                    level, int(seeds[bad]), f"non-finite value {out[bad]!r}"
-                )
             if j == 0:
                 values[done] = out
             elif j == 1:
@@ -235,7 +241,7 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, keep=False):
                 rows[j, done] = out
             # Each level's values are in place now; free them before the
             # next level is evaluated.
-            del out, finite
+            del out
 
     starts = range(0, count, _CHUNK)
     if pool is not None and len(starts) > 1:
@@ -382,8 +388,7 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):
     """
     _check_base_seed(base_seed)
     _check_workers(workers)
-    if pilot_samples < 2:
-        raise ValueError(f"pilot needs at least 2 samples, got {pilot_samples}")
+    pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
         raise ValueError(
             f"pilot needs levels 1..3 but the model stops at {model.max_level}"

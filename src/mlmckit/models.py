@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ._bits import _tiles, normal_lanes, scratch
-from .executor import ModelEvaluationError, QoIModel
+from .executor import ModelEvaluationError, QoIModel, _whole
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +173,8 @@ class GBMSpec:
             raise ValueError(f"vol must be >= 0, got {self.vol}")
         if not self.T > 0:
             raise ValueError(f"T must be positive, got {self.T}")
-        if int(self.steps_at_finest) != self.steps_at_finest or self.steps_at_finest < 1:
-            raise ValueError(f"steps_at_finest must be an integer >= 1, got {self.steps_at_finest}")
-        if int(self.max_level) != self.max_level or self.max_level < 1:
-            raise ValueError(f"max_level must be an integer >= 1, got {self.max_level}")
+        for name in ("steps_at_finest", "max_level"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         halvings = 2 ** (self.max_level - 1)
         if self.steps_at_finest % halvings != 0:
             raise ValueError(
@@ -195,12 +193,7 @@ class GBMSpec:
 
     @classmethod
     def from_json_dict(cls, d):
-        out = dict(d)
-        if "steps_at_finest" in out:
-            out["steps_at_finest"] = int(out["steps_at_finest"])
-        if "max_level" in out:
-            out["max_level"] = int(out["max_level"])
-        return cls(**out)
+        return cls(**d)
 
 
 def _increments(spec, level, seeds, fine, half):
@@ -299,8 +292,8 @@ class BurgersSpec:
             raise ValueError(f"domain_length must be positive, got {self.domain_length}")
         if not self.time_horizon > 0:
             raise ValueError(f"time_horizon must be positive, got {self.time_horizon}")
-        if int(self.max_level) != self.max_level or self.max_level < 1:
-            raise ValueError(f"max_level must be an integer >= 1, got {self.max_level}")
+        for name in ("cells_at_finest", "max_level"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         if self.forcing is None:
             # Default band tops out at k=6 so the default coarsest grid
             # (32 cells) still resolves every forcing mode; higher bands
@@ -322,11 +315,7 @@ class BurgersSpec:
                 f"domain_length={self.domain_length} (periodic forcing)"
             )
         halvings = 2 ** (self.max_level - 1)
-        if (
-            int(self.cells_at_finest) != self.cells_at_finest
-            or self.cells_at_finest % halvings != 0
-            or self.cells_at_finest // halvings < 4
-        ):
+        if self.cells_at_finest % halvings != 0 or self.cells_at_finest // halvings < 4:
             raise ValueError(
                 f"cells_at_finest={self.cells_at_finest} must be divisible by "
                 f"2^(max_level-1)={halvings} with at least 4 cells at the "
@@ -343,10 +332,6 @@ class BurgersSpec:
         out = dict(d)
         if "forcing" in out and out["forcing"] is not None:
             out["forcing"] = TopographySpec.from_json_dict(out["forcing"])
-        if "cells_at_finest" in out:
-            out["cells_at_finest"] = int(out["cells_at_finest"])
-        if "max_level" in out:
-            out["max_level"] = int(out["max_level"])
         return cls(**out)
 
 

@@ -497,6 +497,70 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
     assert failure(raises=[first], nans=[later]) == first
 
 
+@pytest.mark.parametrize("where", [0, CHUNK // 2, CHUNK - 1])
+def test_a_raised_failure_is_located_in_log_chunk_calls(where):
+    class CountingPoison(TwoScaleModel):
+        """Raises for one seed, counting every call and every seed evaluated."""
+
+        def __init__(self, bad_seed):
+            super().__init__()
+            self.bad_seed = np.uint64(bad_seed)
+            self.calls = self.seeds = 0
+
+        def evaluate_many(self, level, seeds):
+            self.calls += 1
+            self.seeds += len(seeds)
+            if (seeds == self.bad_seed).any():
+                raise RuntimeError("solver diverged")
+            return super().evaluate_many(level, seeds)
+
+    bad_seed = int(counter_seeds(0, where, 1)[0])
+    model = CountingPoison(bad_seed)
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_classical_mc(model, 1, CHUNK, 0)
+    assert (exc.value.level, exc.value.seed) == (1, bad_seed)
+    assert model.calls <= 2 * math.ceil(math.log2(CHUNK)) + 1
+    assert model.seeds <= 3 * CHUNK
+
+
+class WrongShapeModel(TwoScaleModel):
+    """Returns one value too many, or the right values as an (n, 1) column."""
+
+    def __init__(self, column):
+        super().__init__()
+        self.column = column
+
+    def evaluate_many(self, level, seeds):
+        out = super().evaluate_many(level, seeds)
+        return out[:, None] if self.column else np.append(out, 0.0)
+
+
+class BatchOnlyFailure(TwoScaleModel):
+    """Raises for any batch of more than one seed, though every seed alone runs."""
+
+    def evaluate_many(self, level, seeds):
+        if len(seeds) > 1:
+            raise RuntimeError("batch of several seeds")
+        return super().evaluate_many(level, seeds)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "model, detail",
+    [
+        (WrongShapeModel(column=True), "batch returned shape"),
+        (WrongShapeModel(column=False), "batch returned shape"),
+        (BatchOnlyFailure(), "batch of several seeds"),
+    ],
+    ids=["column", "extra_value", "batch_only"],
+)
+def test_wrong_shapes_and_batch_only_failures_name_no_seed(model, detail, workers):
+    with pytest.raises(ModelEvaluationError, match=detail) as exc:
+        run_mlmc(model, _plan(StrategyId.S2, (SPAN, 10)), 0, workers=workers)
+    assert exc.value.level == 1
+    assert exc.value.seed is None
+
+
 # ---------------------------------------------------------------------------
 # classical baseline
 # ---------------------------------------------------------------------------
@@ -598,6 +662,19 @@ def test_pilot_input_validation():
         pilot_estimate_parameters(TwoScaleModel(max_level=2), 64, 0)
     with pytest.raises(ValueError):
         pilot_estimate_parameters(TwoScaleModel(), 1, 0)
+
+
+def test_pilot_samples_must_be_whole_before_any_draw(monkeypatch):
+    model = TwoScaleModel()
+    assert pilot_estimate_parameters(model, 256.0, 3) == pilot_estimate_parameters(model, 256, 3)
+
+    def no_draws(*args):
+        raise AssertionError("a seed was drawn")
+
+    monkeypatch.setattr(executor, "counter_seeds", no_draws)
+    for bad in (2.5, True, "256", None, 1):
+        with pytest.raises(ValueError, match="pilot_samples must be an integer"):
+            pilot_estimate_parameters(model, bad, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,32 @@ def test_gbm_spec_ladder():
     assert GBMSpec.from_json_dict({"steps_at_finest": 256.0, "max_level": 4.0}) == g
 
 
+def test_whole_number_float_spec_fields_become_ints():
+    g = GBMSpec(steps_at_finest=256.0, max_level=4.0)
+    assert g == GBMSpec()
+    assert type(g.steps_at_finest) is int and type(g.max_level) is int
+    assert g.steps_at_level(2) == 128
+    assert type(GBMModel(g).max_level) is int
+    seeds = np.arange(5, dtype=np.uint64)
+    assert np.array_equal(GBMModel(g).evaluate_many(2, seeds), GBMModel().evaluate_many(2, seeds))
+
+    b = BurgersSpec(cells_at_finest=64.0, max_level=2.0)
+    assert b == BurgersSpec(cells_at_finest=64, max_level=2)
+    assert type(b.cells_at_finest) is int and type(b.max_level) is int
+    assert b.cells_at_level(2) == 32
+
+    for bad in (256.5, True, "256", None, 0):
+        with pytest.raises(ValueError, match="steps_at_finest must be an integer"):
+            GBMSpec(steps_at_finest=bad)
+        with pytest.raises(ValueError, match="cells_at_finest must be an integer"):
+            BurgersSpec(cells_at_finest=bad)
+    for bad in (4.5, True, "4", None, 0):
+        with pytest.raises(ValueError, match="max_level must be an integer"):
+            GBMSpec(max_level=bad)
+        with pytest.raises(ValueError, match="max_level must be an integer"):
+            BurgersSpec(max_level=bad)
+
+
 def test_gbm_zero_vol_is_deterministic_compounding():
     g = GBMSpec(vol=0.0)
     model = GBMModel(g)
