@@ -90,7 +90,7 @@ class RunConfig:
     pilot_samples: int = 256
     base_seed: int = 0
     classical_level: int = 1
-    workers: int = 1
+    workers: Optional[int] = None
     log_samples: bool = False
     sample_log: str = "samples.csv"
     out: str = "report.json"
@@ -137,7 +137,9 @@ class RunConfig:
         for key, low in (
             ("pilot_samples", 2), ("base_seed", 0), ("classical_level", 1), ("workers", 1)
         ):
-            setattr(self, key, _whole(key, getattr(self, key), low, None))
+            # workers stays None, the executor's default: the usable CPUs.
+            if getattr(self, key) is not None:
+                setattr(self, key, _whole(key, getattr(self, key), low, None))
         for key in ("sample_log", "out"):
             if not isinstance(getattr(self, key), str):
                 raise _UsageError(f"{key} must be a path, got {getattr(self, key)!r}")
@@ -383,7 +385,10 @@ def build_parser():
         "--strategy", choices=sorted(_STRATEGY_FLAGS), default=None, help="strategy override"
     )
     p_run.add_argument("--out", default=None, help="report JSON path override")
-    p_run.add_argument("--workers", type=int, default=None, help="worker count")
+    p_run.add_argument(
+        "--workers", type=int, default=None,
+        help="worker threads, the caller included (default: usable CPUs; 1 is serial)",
+    )
     p_run.add_argument(
         "--log-samples", action="store_true", dest="log_samples",
         help="write the per-evaluation CSV log",

@@ -14,15 +14,21 @@ to ``math.fsum`` bit for bit (see :mod:`mlmckit.stats` for the fallbacks
 to ``math.fsum`` itself).
 
 The chunk loop: the pilot, ``run_mlmc`` and ``run_classical_mc`` all
-evaluate samples through one loop, on one thread pool per call when
-``workers > 1``.  A term's samples are split into fixed chunks of
-``_CHUNK`` seeds.  Each chunk task derives its own seeds from
-(base_seed, counter), evaluates them at every level of its term back to
-back, in ascending order, on one thread, with one ``evaluate_many`` call
-per level (models may rely on that, for example to reuse a draw), checks
-that each level's values are finite, and writes the coupled difference
-straight into the term's values.  Per-level values are kept only for a
-sample log and for the pilot, which needs its three levels.
+evaluate samples through one loop.  ``workers`` defaults to the usable
+CPUs (the process's affinity mask), resolved once per call; ``workers=1``
+runs serially without a pool.  The calling thread works as one of the
+workers, next to at most ``workers - 1`` helpers from one thread pool per
+call, so a call never runs more threads than ``workers`` or than the
+chunks of its largest term.  A term's samples are split into fixed chunks
+of ``_CHUNK`` seeds, handed out in sample order from one shared counter.
+Each chunk derives its own seeds from (base_seed, counter), evaluates them
+at every level of its term back to back, in ascending order, on one
+thread, with one ``evaluate_many`` call per level (models may rely on that,
+for example to reuse a draw), checks that each level's values are finite,
+and writes the coupled difference straight into the term's values.
+Per-level values are kept only for a sample log and for the pilot, which
+needs its three levels.  Chunk boundaries and aggregation do not depend on
+the worker count, so neither do the bytes of any report.
 
 On ``perfbench``'s ``twoscale_cli`` workload (2 vCPUs, ten alternating
 50 s runs of each side) this loop, with the lane-major ``normal_lanes``,
@@ -30,15 +36,24 @@ took the median ``run_s`` from 0.130 to 0.087 s, against a per-term seed
 array, level matrix, difference pass and finiteness pass over 4096-seed
 chunks.
 
+On 2 vCPUs the default of two workers took ``gbm_capped``'s median
+``run_s`` from 0.251 to 0.145 s (1.73x, ten alternating 50 s runs against
+one worker), while TwoScale stays nearly flat (a 7-level S3 ``run_mlmc``
+took a median 39 ms at one worker and 35 ms at two).
+
 Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk
 in sample order, the lowest failing level of that chunk, and its first
 failing seed at that level, unless the model raises that error itself.
 A raised error is traced to its seed by halving the batch, in O(log chunk)
-calls (see :func:`_evaluate_chunk`).
+calls (see :func:`_evaluate_chunk`).  Once a chunk fails no further chunk
+is handed out; the lowest failing chunk is raised after every chunk before
+it has finished, so the error does not depend on the worker count.
 """
 
 import math
+import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
@@ -156,11 +171,23 @@ def _check_base_seed(base_seed):
         raise ValueError(f"base_seed must fit in 64 bits, got {base_seed}")
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, or the machine's count where unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _check_workers(workers):
+    """``workers`` as a thread count: the usable CPUs for None."""
+    if workers is None:
+        return _usable_cpus()
     if not isinstance(workers, int) or isinstance(workers, bool):
         raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _whole(name, value, low, high):
@@ -175,9 +202,18 @@ def _whole(name, value, low, high):
     return int(value)
 
 
-def _pool(workers):
-    """One thread pool for a whole call, or no pool for a single worker."""
-    return ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+def _helpers(workers, largest):
+    """Helper threads for a call whose largest term has ``largest`` samples.
+
+    The caller works too, so a call runs on at most ``workers`` threads and
+    never on more threads than its largest term has chunks.
+    """
+    return min(workers, -(-largest // _CHUNK)) - 1
+
+
+def _pool(helpers):
+    """One thread pool of ``helpers`` threads for a whole call, or none."""
+    return ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else nullcontext()
 
 
 def _evaluate_chunk(model, level, seeds):
@@ -214,19 +250,28 @@ def _evaluate_chunk(model, level, seeds):
     return out
 
 
-def _evaluate_term(model, levels, base_seed, start, count, pool, keep=False):
+def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=False):
     """Evaluate ``count`` realizations, counters ``start`` onwards, at ``levels``.
 
     Returns ``(values, rows)``.  ``values`` holds the coupled differences
     ``U[levels[0]] - U[levels[1]]``, or the values at the only level.  With
     ``keep``, ``rows`` holds one row of values per level; otherwise None.
 
-    This is the executor's one loop over samples.  Each chunk task derives
-    its own seeds, evaluates them at every level in ascending order through
-    :func:`_evaluate_chunk` and writes its slice of ``values``.
+    This is the executor's one loop over samples.  The calling thread and
+    up to ``helpers`` threads of ``pool`` take chunk indices in sample
+    order from one shared counter.  Each chunk derives its own seeds,
+    evaluates them at every level in ascending order through
+    :func:`_evaluate_chunk` and writes its slice of ``values``.  A failing
+    chunk is recorded by index and stops the hand-out; the lowest one is
+    raised once every thread has finished its chunk.
     """
     values = np.empty(count)
     rows = np.empty((len(levels), count)) if keep else None
+    chunks = -(-count // _CHUNK)
+    lock = threading.Lock()
+    handed = 0  # chunks handed out so far
+    stop = chunks  # no chunk at or past this index is handed out
+    failures = {}  # chunk index -> the error it raised
 
     def run_chunk(i):
         seeds = counter_seeds(base_seed, start + i, min(_CHUNK, count - i))
@@ -243,12 +288,32 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, keep=False):
             # next level is evaluated.
             del out
 
-    starts = range(0, count, _CHUNK)
-    if pool is not None and len(starts) > 1:
-        list(pool.map(run_chunk, starts))
-    else:
-        for i in starts:
-            run_chunk(i)
+    def work():
+        nonlocal handed, stop
+        while True:
+            with lock:
+                k = handed
+                if k >= stop:
+                    return
+                handed += 1
+            try:
+                run_chunk(k * _CHUNK)
+            except Exception as exc:
+                with lock:
+                    failures[k] = exc
+                    stop = min(stop, k)
+
+    futures = [pool.submit(work) for _ in range(min(helpers, chunks - 1))]
+    try:
+        work()
+    finally:
+        # Every chunk is out by now, unless the caller was interrupted.
+        with lock:
+            stop = 0
+        for f in futures:
+            f.result()
+    if failures:
+        raise failures[min(failures)]
     return values, rows
 
 
@@ -298,10 +363,12 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     log_terms = []
     load = 0.0
     start = 0
-    with _pool(workers) as pool:
+    helpers = _helpers(workers, max(plan.M))
+    with _pool(helpers) as pool:
         for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
             values, rows = _evaluate_term(
-                model, levels, base_seed, start, count, pool, keep=sample_log_path is not None
+                model, levels, base_seed, start, count, pool, helpers,
+                keep=sample_log_path is not None,
             )
             if sample_log_path is not None:
                 seeds = counter_seeds(base_seed, start, count)
@@ -336,15 +403,19 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     )
 
 
-def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
+def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
     """Execute a multilevel plan: coupled difference terms plus coarse term.
 
     Term l < L draws M[l-1] realizations and evaluates each at levels l and
     l+1 (same seed — exact coupling); the last term evaluates at level L
     only.  Realizations are disjoint across terms by the counter scheme.
+
+    ``workers`` threads evaluate the chunks, the calling thread among them:
+    None (the default) means the usable CPUs, 1 a serial run without a
+    pool.  The report's bytes do not depend on it.
     """
     _check_base_seed(base_seed)
-    _check_workers(workers)
+    workers = _check_workers(workers)
     if plan.strategy is StrategyId.CLASSICAL_MC:
         raise ValueError("classical plans are executed with run_classical_mc")
     if plan.L > model.max_level:
@@ -356,13 +427,14 @@ def run_mlmc(model, plan, base_seed, workers=1, sample_log_path=None):
     return _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path)
 
 
-def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None):
+def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=None):
     """Plain Monte Carlo at a single level: a one-term run of ``M`` samples.
 
-    The report's plan is the classical plan for ``M`` without inputs.
+    The report's plan is the classical plan for ``M`` without inputs;
+    ``workers`` is as for :func:`run_mlmc`.
     """
     _check_base_seed(base_seed)
-    _check_workers(workers)
+    workers = _check_workers(workers)
     M = _whole("M", M, 1, None)
     level = _whole("level", level, 1, model.max_level)
     plan = LevelPlan(
@@ -377,26 +449,28 @@ def run_classical_mc(model, level, M, base_seed, workers=1, sample_log_path=None
     return _run_terms(model, plan, [[level]], base_seed, workers, sample_log_path)
 
 
-def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=1):
+def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     """Estimate (delta, e, alpha) from coupled pilots at the three finest levels.
 
     Each pilot realization is evaluated at levels 1, 2 and 3; the spread of
     the fine QoI is taken at level 2 (the second-finest), the decay exponent
     from the two adjacent difference spreads, and the fine-level error from
     the sizing identity.  Pilot seeds come from a salted sub-stream so they
-    are never reused by a later run with the same base_seed.
+    are never reused by a later run with the same base_seed.  ``workers`` is
+    as for :func:`run_mlmc`.
     """
     _check_base_seed(base_seed)
-    _check_workers(workers)
+    workers = _check_workers(workers)
     pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
         raise ValueError(
             f"pilot needs levels 1..3 but the model stops at {model.max_level}"
         )
     pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
-    with _pool(workers) as pool:
+    helpers = _helpers(workers, pilot_samples)
+    with _pool(helpers) as pool:
         d12, (_, u2, u3) = _evaluate_term(
-            model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, keep=True
+            model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )
 
     var_12 = unbiased_variance(d12)

@@ -167,12 +167,16 @@ class GBMSpec:
     max_level: int = 4
 
     def __post_init__(self):
-        if not self.S0 > 0:
-            raise ValueError(f"S0 must be positive, got {self.S0}")
-        if self.vol < 0:
-            raise ValueError(f"vol must be >= 0, got {self.vol}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        # Each check fails for NaN and inf too, which would only surface
+        # as a failed evaluation at run time.
+        if not 0 < self.S0 < math.inf:
+            raise ValueError(f"S0 must be positive and finite, got {self.S0}")
+        if not math.isfinite(self.r_drift):
+            raise ValueError(f"r_drift must be finite, got {self.r_drift}")
+        if not 0 <= self.vol < math.inf:
+            raise ValueError(f"vol must be >= 0 and finite, got {self.vol}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         for name in ("steps_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         halvings = 2 ** (self.max_level - 1)
@@ -450,13 +454,12 @@ class TwoScaleModel(QoIModel):
     """
 
     def __init__(self, max_level=16, alpha=1.0, amp=0.5):
-        if max_level < 1:
-            raise ValueError(f"max_level must be >= 1, got {max_level}")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if amp <= 0:
-            raise ValueError(f"amp must be > 0, got {amp}")
-        self.max_level = max_level
+        self.max_level = _whole("max_level", max_level, 1, None)
+        # NaN and inf fail these checks too.
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
+        if not 0 < amp < math.inf:
+            raise ValueError(f"amp must be > 0 and finite, got {amp}")
         self.alpha = float(alpha)
         self.amp = float(amp)
 
@@ -515,9 +518,11 @@ def model_from_config(d):
     if kind == "burgers":
         return BurgersModel(BurgersSpec.from_json_dict(spec))
     if kind == "two_scale":
+        # Values pass through unconverted, so the constructor rejects a
+        # fractional max_level as the specs do.
         return TwoScaleModel(
-            max_level=int(spec.get("max_level", 16)),
-            alpha=float(spec.get("alpha", 1.0)),
-            amp=float(spec.get("amp", 0.5)),
+            max_level=spec.get("max_level", 16),
+            alpha=spec.get("alpha", 1.0),
+            amp=spec.get("amp", 0.5),
         )
     raise ValueError(f"unknown model kind {kind!r}; expected one of {_MODEL_KINDS}")

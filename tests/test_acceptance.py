@@ -224,23 +224,29 @@ def test_topography_field_statistical_law():
 
 def test_reports_byte_identical_for_any_worker_count(tmp_path):
     model = TwoScaleModel()
-    params = pilot_estimate_parameters(model, 5000, base_seed=3)
-    # inflate the coarse term so the run straddles the internal chunk size
+    # None is the default, the usable CPUs.  The pilot and the coarse term
+    # span several chunks, so the helpers take some of them.
+    workers = (1, 2, 3, 4, None)
+    pilots = [pilot_estimate_parameters(model, 40000, base_seed=3, workers=w) for w in workers]
+    assert all(p == pilots[0] for p in pilots)
+    params = pilots[0]
     base = plan_strategy2(params, max_levels=model.max_level)
     plan = LevelPlan(
         strategy=base.strategy,
         L=2,
-        M=(6000, 9000),
-        M_total=(6000, 15000),
+        M=(6000, 40000),
+        M_total=(6000, 46000),
         error_bound_multiplier=base.error_bound_multiplier,
         relative_load=0.0,
         inputs=params,
     )
-    payloads = {
-        w: json.dumps(run_mlmc(model, plan, base_seed=42, workers=w).to_json_dict())
-        for w in (1, 2, 4)
-    }
-    assert payloads[1] == payloads[2] == payloads[4]
+    payloads, logs = set(), set()
+    for i, w in enumerate(workers):
+        log = tmp_path / f"samples{i}.csv"
+        report = run_mlmc(model, plan, base_seed=42, workers=w, sample_log_path=str(log))
+        payloads.add(json.dumps(report.to_json_dict()))
+        logs.add(log.read_bytes())
+    assert len(payloads) == len(logs) == 1
 
     # and end to end through the command-line front end
     cfg = tmp_path / "cfg.json"
@@ -251,9 +257,9 @@ def test_reports_byte_identical_for_any_worker_count(tmp_path):
         "base_seed": 7,
     }))
     outs = []
-    for w, name in [(1, "a.json"), (4, "b.json")]:
+    for flags, name in [(["--workers", "1"], "a.json"), (["--workers", "4"], "b.json"), ([], "c.json")]:
         out = tmp_path / name
-        rc = main(["run", "--config", str(cfg), "--workers", str(w), "--out", str(out)])
+        rc = main(["run", "--config", str(cfg), *flags, "--out", str(out)])
         assert rc == 0
         outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]

@@ -98,18 +98,20 @@ def test_pilot_uses_the_configured_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "pilot_estimate_parameters", spy)
     outs = []
-    for workers in (1, 2):
+    # A config without workers passes None, the executor's default.
+    for workers in (1, 2, None):
         cfg = tmp_path / f"cfg{workers}.json"
         _write(cfg, {"model": {"kind": "two_scale"}, "workers": workers})
         outs.append(tmp_path / f"params{workers}.json")
-        rc = main(["pilot", "--config", str(cfg), "--samples", "9000", "--out", str(outs[-1])])
+        rc = main(["pilot", "--config", str(cfg), "--samples", "40000", "--out", str(outs[-1])])
         assert rc == 0
-    assert seen == [1, 2]
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert seen == [1, 2, None]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert RunConfig.from_json_dict({"model": {"kind": "two_scale"}}).workers is None
     # The inline pilot of ``run`` passes them too.
     cfg = _two_scale_cfg(tmp_path, workers=2)
     assert main(["run", "--config", str(cfg)]) == 0
-    assert seen == [1, 2, 2]
+    assert seen == [1, 2, None, 2]
 
 
 def test_pilot_degenerate_model_exits_3(tmp_path, capsys):
@@ -140,6 +142,26 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", **entry})
     assert main([command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "two_scale", "spec": {"max_level": 3.5}},
+        {"kind": "gbm", "spec": {"max_level": 3.5}},
+        {"kind": "gbm", "spec": {"vol": float("nan")}},
+        {"kind": "gbm", "spec": {"r_drift": float("inf")}},
+        {"kind": "two_scale", "spec": {"alpha": float("nan")}},
+    ],
+    ids=["two_scale_max_level", "gbm_max_level", "gbm_vol", "gbm_r_drift", "two_scale_alpha"],
+)
+def test_model_spec_values_a_run_cannot_use_exit_2(tmp_path, capsys, model):
+    # A two_scale "max_level": 3.5 was truncated to 3 and ran.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "strategy": "s1"}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_pilot_bad_config_exits_2(tmp_path, capsys):

@@ -150,7 +150,7 @@ def test_run_mlmc_rejections():
             run_mlmc(model, _plan(StrategyId.S2, (4, 4)), bad_seed)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "2", None])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 1.0, True, "2"])
 def test_every_runner_rejects_bad_worker_counts(bad):
     model = TwoScaleModel()
     with pytest.raises(ValueError):
@@ -162,7 +162,7 @@ def test_every_runner_rejects_bad_worker_counts(bad):
 
 
 # ---------------------------------------------------------------------------
-# one pass per term, one thread pool per call
+# one pass per term, the caller plus one thread pool per call
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -180,28 +180,74 @@ def pools(monkeypatch):
 
 
 def test_one_pool_per_call_with_workers(pools):
+    # The caller works too, so a pool holds workers - 1 helpers, and no more
+    # than the largest term has chunks after the caller's.
     model = TwoScaleModel()
-    for count in (9000, SPAN):
-        pools.clear()
-        run_mlmc(model, _plan(StrategyId.S1, (count, 5000, 4097, 300)), 0, workers=2)
-        assert pools == [2]
-        pools.clear()
-        pilot_estimate_parameters(model, count, 0, workers=2)
-        assert pools == [2]
-        pools.clear()
-        run_classical_mc(model, 1, count, 0, workers=3)
-        assert pools == [3]
+    run_mlmc(model, _plan(StrategyId.S1, (SPAN, 5000, 4097, 300)), 0, workers=2)
+    assert pools == [1]
+    pools.clear()
+    pilot_estimate_parameters(model, SPAN, 0, workers=2)
+    assert pools == [1]
+    pools.clear()
+    run_classical_mc(model, 1, SPAN, 0, workers=3)
+    assert pools == [2]
+    pools.clear()
+    run_classical_mc(model, 1, SPAN, 0, workers=8)
+    assert pools == [len(_chunks(SPAN)) - 1]
+    pools.clear()
+    # A call whose every term is one chunk runs on the caller alone.
+    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 4097, 300)), 0, workers=2)
+    pilot_estimate_parameters(model, 9000, 0, workers=2)
+    run_classical_mc(model, 1, CHUNK, 0, workers=3)
+    assert pools == []
 
 
 def test_no_pool_for_one_worker(pools):
     model = TwoScaleModel()
     for count in (9000, SPAN):
         run_mlmc(model, _plan(StrategyId.S1, (count, 5000, 300)), 0, workers=1)
-        pilot_estimate_parameters(model, count, 0)
-        run_classical_mc(model, 1, count, 0)
+        pilot_estimate_parameters(model, count, 0, workers=1)
+        run_classical_mc(model, 1, count, 0, workers=1)
     assert pools == []
 
 
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_default_workers_are_the_usable_cpus(pools, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    model = TwoScaleModel()
+    run_mlmc(model, _plan(StrategyId.S2, (SPAN, 300)), 0)
+    pilot_estimate_parameters(model, SPAN, 0)
+    run_classical_mc(model, 1, SPAN, 0)
+    assert pools == ([cpus - 1] * 3 if cpus > 1 else [])
+    # Without an affinity call the machine's CPU count is used.
+    pools.clear()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    run_classical_mc(model, 1, SPAN, 0)
+    assert pools == ([cpus - 1] if cpus > 1 else [])
+
+
+@pytest.mark.parametrize("workers", [2, 4, None])
+def test_a_call_runs_on_at_most_workers_threads_and_chunks(workers):
+    class ThreadCounter(TwoScaleModel):
+        def __init__(self):
+            super().__init__()
+            self.threads = set()
+            self.alive = []
+
+        def evaluate_many(self, level, seeds):
+            self.threads.add(threading.get_ident())
+            self.alive.append(threading.active_count())
+            return super().evaluate_many(level, seeds)
+
+    usable = executor._usable_cpus() if workers is None else workers
+    for M in ((SPAN, CHUNK + 1, 300), (9000, 300)):
+        model = ThreadCounter()
+        before = threading.active_count()
+        run_mlmc(model, _plan(StrategyId.S1, M), 0, workers=workers)
+        most = min(usable, len(_chunks(max(M))))
+        assert len(model.threads) <= most
+        assert max(model.alive) <= before + most - 1
 def test_more_workers_than_cores_fill_every_sample(tmp_path):
     # Chunk tasks write into disjoint columns of one shared array; a lost or
     # misplaced write would change the logged values.
@@ -224,11 +270,12 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
         def __init__(self):
             super().__init__()
             self.batches = []
-            self.threads = []
+            self.by_thread = {}
 
         def evaluate_many(self, level, seeds):
-            self.batches.append((level, len(seeds), int(seeds[0])))
-            self.threads.append(threading.current_thread())
+            batch = (level, len(seeds), int(seeds[0]))
+            self.batches.append(batch)
+            self.by_thread.setdefault(threading.get_ident(), []).append(batch)
             return super().evaluate_many(level, seeds)
 
     for count in (9000, SPAN):
@@ -236,20 +283,24 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
         run_mlmc(model, _plan(StrategyId.S2, (count, 100)), 0, workers=workers)
         seeds = counter_seeds(0, 0, count + 100)
         sizes = _chunks(count)
+        coarse = (2, 100, int(seeds[count]))
         expect = {
             (lv, size, int(seeds[i * CHUNK])) for i, size in enumerate(sizes) for lv in (1, 2)
-        } | {(2, 100, int(seeds[count]))}
+        } | {coarse}
         assert len(model.batches) == len(expect)
         assert set(model.batches) == expect
-        on_main = [t is threading.main_thread() for t in model.threads]
+        # The coarse term starts only once every chunk of the first has finished.
+        assert model.batches[-1] == coarse
         if workers == 1:
             # One chunk at every level of the term before the next chunk.
             assert [lv for lv, _, _ in model.batches] == [1, 2] * len(sizes) + [2]
-            assert all(on_main)
-        else:
-            # A term of several chunks runs them on the pool; a one-chunk term does not.
-            pooled = len(sizes) > 1
-            assert on_main == [not pooled] * (2 * len(sizes)) + [True]
+            assert list(model.by_thread) == [threading.get_ident()]
+        # On whichever thread a chunk runs, its two levels are consecutive
+        # calls there, level 1 first.
+        for calls in model.by_thread.values():
+            pairs = [c for c in calls if c != coarse]
+            assert [lv for lv, _, _ in pairs] == [1, 2] * (len(pairs) // 2)
+            assert [c[1:] for c in pairs[0::2]] == [c[1:] for c in pairs[1::2]]
 
 
 # A report digest and pilot estimates for terms of SPAN samples at 16384-seed
@@ -495,6 +546,60 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
     first, later = (1, int(seeds[3])), (1, int(seeds[7]))
     assert failure(nans=[first], raises=[later]) == first
     assert failure(raises=[first], nans=[later]) == first
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4, None])
+def test_a_slow_early_failure_wins_over_a_fast_later_one(workers):
+    seeds = counter_seeds(0, 0, SPAN)
+    slow, fast = (2, int(seeds[5])), (1, int(seeds[2 * CHUNK + 3]))
+
+    class SlowThenFast(TwoScaleModel):
+        """Chunk 0 fails at level 2 after a pause; chunk 2 fails at level 1 at once."""
+
+        def evaluate_many(self, level, seeds):
+            for lv, seed in (slow, fast):
+                if lv == level and (seeds == np.uint64(seed)).any():
+                    if (lv, seed) == slow and len(seeds) == CHUNK:
+                        time.sleep(0.3)
+                    raise RuntimeError("solver diverged")
+            return super().evaluate_many(level, seeds)
+
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(SlowThenFast(), _plan(StrategyId.S2, (SPAN, 10)), 0, workers=workers)
+    assert (exc.value.level, exc.value.seed) == slow
+
+
+def test_a_failure_stops_handing_out_chunks():
+    seeds = counter_seeds(0, 0, 10 * CHUNK)
+    bad_seed = int(seeds[1])
+
+    class FailFirst(TwoScaleModel):
+        """Fails in chunk 0 at once; every other chunk takes a while."""
+
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+            self.later_chunks = 0
+
+        def evaluate_many(self, level, seeds):
+            self.calls += 1
+            if (seeds == np.uint64(bad_seed)).any():
+                raise RuntimeError("solver diverged")
+            if len(seeds) == CHUNK:
+                self.later_chunks += 1
+                time.sleep(0.1)
+            return super().evaluate_many(level, seeds)
+
+    for workers in (1, 2):
+        model = FailFirst()
+        with pytest.raises(ModelEvaluationError) as exc:
+            run_classical_mc(model, 1, 10 * CHUNK, 0, workers=workers)
+        assert (exc.value.level, exc.value.seed) == (1, bad_seed)
+        # Serially no chunk after chunk 0 starts.  Next to it the helper
+        # finishes the one chunk it holds, or two if it was quicker, and
+        # takes no more.
+        assert model.later_chunks <= (0 if workers == 1 else 2)
+        assert model.calls <= 2 * math.ceil(math.log2(CHUNK)) + 1 + model.later_chunks
 
 
 @pytest.mark.parametrize("where", [0, CHUNK // 2, CHUNK - 1])

@@ -497,6 +497,31 @@ def test_two_scale_validation():
         TwoScaleModel(max_level=4).evaluate_many(5, [0])
 
 
+def test_two_scale_parameters_are_whole_and_finite():
+    # A fractional max_level was kept, and a string one raised TypeError.
+    for bad in (3.5, True, "4", None, 0):
+        with pytest.raises(ValueError, match="max_level must be an integer"):
+            TwoScaleModel(max_level=bad)
+    m = TwoScaleModel(max_level=4.0)
+    assert m.max_level == 4 and type(m.max_level) is int
+    # NaN and inf failed only when a run evaluated them.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+            TwoScaleModel(alpha=bad)
+        with pytest.raises(ValueError, match="amp must be > 0 and finite"):
+            TwoScaleModel(amp=bad)
+
+
+def test_gbm_spec_rejects_values_that_are_not_finite():
+    for name, bad in (
+        ("vol", math.nan), ("vol", math.inf), ("r_drift", math.inf),
+        ("r_drift", -math.inf), ("r_drift", math.nan), ("S0", math.inf),
+        ("S0", math.nan), ("T", math.inf), ("T", math.nan),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            GBMSpec(**{name: bad})
+
+
 def test_cost_hint_defaults_to_relative_dof():
     m = TwoScaleModel()
     assert m.cost_hint(1) == 1.0
@@ -557,6 +582,10 @@ def test_model_from_config():
     t = model_from_config({"kind": "two_scale", "spec": {"max_level": 6, "alpha": 2.0}})
     assert isinstance(t, TwoScaleModel)
     assert t.max_level == 6 and t.alpha == 2.0
+    # Spec values reach the constructor as given: 3.5 is not truncated to 3.
+    for spec in ({"max_level": 3.5}, {"alpha": math.nan}, {"amp": math.inf}):
+        with pytest.raises(ValueError):
+            model_from_config({"kind": "two_scale", "spec": spec})
     with pytest.raises(ValueError):
         model_from_config({"kind": "heat"})
     with pytest.raises(ValueError):
