@@ -13,8 +13,7 @@ import math
 from mlmckit import (
     GBMModel,
     pilot_estimate_parameters,
-    plan_classical_mc,
-    plan_strategy2,
+    plan_for_strategy,
     run_classical_mc,
     run_mlmc,
 )
@@ -25,7 +24,7 @@ exact = model.spec.exact_mean
 params = pilot_estimate_parameters(model, pilot_samples=256, base_seed=1)
 print(f"pilot:   delta={params.delta:.4g}  e={params.e:.4g}  alpha={params.alpha:.3f}")
 
-plan = plan_strategy2(params, max_levels=model.max_level)
+plan = plan_for_strategy("S2", params, max_levels=model.max_level)
 print(f"plan:    L={plan.L}  M={plan.M}  predicted load={plan.relative_load:.4g}")
 
 report = run_mlmc(model, plan, base_seed=1)
@@ -35,7 +34,7 @@ print(f"         |error|={err:.2e}  a-priori bound={report.a_priori_error_bound:
 print(f"         std error={report.estimated_std_error:.2e}  load={report.realized_load:.4g}")
 
 # classical baseline at the plan's own statistical budget
-m_classical = plan_classical_mc(params).M[0]
+m_classical = plan_for_strategy("ClassicalMC", params).M[0]
 mc = run_classical_mc(model, level=1, M=m_classical, base_seed=1)
 print()
 print(f"classical ({m_classical} finest solves): estimate={mc.estimate:.6f}  "

@@ -34,13 +34,7 @@ from .planner import (
     LevelPlan,
     StrategyId,
     classify_cost_regime,
-    plan_classical_mc,
     plan_for_strategy,
-    plan_strategy1,
-    plan_strategy2,
-    plan_strategy3,
-    plan_strategy4,
-    polynomial_n_exponent,
 )
 from .stats import (
     LevelTermStats,
@@ -79,13 +73,7 @@ __all__ = [
     "mc_mean",
     "model_from_config",
     "pilot_estimate_parameters",
-    "plan_classical_mc",
     "plan_for_strategy",
-    "plan_strategy1",
-    "plan_strategy2",
-    "plan_strategy3",
-    "plan_strategy4",
-    "polynomial_n_exponent",
     "run_classical_mc",
     "run_mlmc",
     "sample_topography",

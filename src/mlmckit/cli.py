@@ -313,7 +313,8 @@ def _read_report(path):
     out = {}
     for k in _REPORT_KEYS:
         v = raw[k]
-        if v is not None and not isinstance(v, (int, float)):
+        # bool is an int subclass, but true/false are not numbers.
+        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
             raise _BadReport(f"{path}: field {k!r} must be a number or null")
         out[k] = v
     if not isinstance(raw.get("plan"), dict) or "strategy" not in raw["plan"]:

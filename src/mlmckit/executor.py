@@ -30,12 +30,6 @@ Per-level values are kept only for a sample log and for the pilot, which
 needs its three levels.  Chunk boundaries and aggregation do not depend on
 the worker count, so neither do the bytes of any report.
 
-On ``perfbench``'s ``twoscale_cli`` workload (2 vCPUs, ten alternating
-50 s runs of each side) this loop, with the lane-major ``normal_lanes``,
-took the median ``run_s`` from 0.130 to 0.087 s, against a per-term seed
-array, level matrix, difference pass and finiteness pass over 4096-seed
-chunks.
-
 On 2 vCPUs the default of two workers took ``gbm_capped``'s median
 ``run_s`` from 0.251 to 0.145 s (1.73x, ten alternating 50 s runs against
 one worker), while TwoScale stays nearly flat (a 7-level S3 ``run_mlmc``
@@ -64,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from ._bits import MASK64, counter_seeds, mix64_int
-from .planner import LevelPlan, StrategyId, relative_dof
+from .planner import LevelPlan, StrategyId, _classical_plan, relative_dof
 from .stats import (
     LevelTermStats,
     SolutionParameters,
@@ -437,16 +431,7 @@ def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=N
     workers = _check_workers(workers)
     M = _whole("M", M, 1, None)
     level = _whole("level", level, 1, model.max_level)
-    plan = LevelPlan(
-        strategy=StrategyId.CLASSICAL_MC,
-        L=1,
-        M=(M,),
-        M_total=(M,),
-        error_bound_multiplier=2.0,
-        relative_load=float(M),
-        inputs=None,
-    )
-    return _run_terms(model, plan, [[level]], base_seed, workers, sample_log_path)
+    return _run_terms(model, _classical_plan(M), [[level]], base_seed, workers, sample_log_path)
 
 
 def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):

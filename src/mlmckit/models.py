@@ -61,16 +61,6 @@ class TopographySpec:
     def coefficient_count(self):
         return 2 * self.n_k * self.n_l
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            H=float(d.get("H", 500.0)),
-            Lx=float(d.get("Lx", 2_000_000.0)),
-            Ly=float(d.get("Ly", 1_733_000.0)),
-            k_range=tuple(d.get("k_range", (4, 20))),
-            l_range=tuple(d.get("l_range", (4, 20))),
-        )
-
 
 @dataclass(frozen=True)
 class TopographySample:
@@ -334,8 +324,8 @@ class BurgersSpec:
     @classmethod
     def from_json_dict(cls, d):
         out = dict(d)
-        if "forcing" in out and out["forcing"] is not None:
-            out["forcing"] = TopographySpec.from_json_dict(out["forcing"])
+        if out.get("forcing") is not None:
+            out["forcing"] = TopographySpec(**out["forcing"])
         return cls(**out)
 
 
@@ -518,11 +508,5 @@ def model_from_config(d):
     if kind == "burgers":
         return BurgersModel(BurgersSpec.from_json_dict(spec))
     if kind == "two_scale":
-        # Values pass through unconverted, so the constructor rejects a
-        # fractional max_level as the specs do.
-        return TwoScaleModel(
-            max_level=spec.get("max_level", 16),
-            alpha=spec.get("alpha", 1.0),
-            amp=spec.get("amp", 0.5),
-        )
+        return TwoScaleModel(**spec)
     raise ValueError(f"unknown model kind {kind!r}; expected one of {_MODEL_KINDS}")

@@ -1,10 +1,10 @@
 """Sampling-plan construction for classical and multilevel Monte Carlo.
 
 Four multilevel sizing strategies are provided next to the classical
-single-level baseline.  All of them consume the same
-:class:`~mlmckit.stats.SolutionParameters` and emit a :class:`LevelPlan`
-with integer sample counts, the a-priori error-bound multiplier, and the
-relative load in units of one finest-level solve.
+single-level baseline.  One function, :func:`plan_for_strategy`, sizes
+each of them from the same :class:`~mlmckit.stats.SolutionParameters` into
+a :class:`LevelPlan` with integer sample counts, the a-priori error-bound
+multiplier, and the relative load in units of one finest-level solve.
 
 Conventions (fixed):
   * level counts come from a ceiling of the real-valued sizing formula,
@@ -175,9 +175,7 @@ def _unrounded_sizes(strategy, p, L):
     return [B * l**w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
 
 
-def _load_from_counts(strategy, M):
-    if strategy is StrategyId.CLASSICAL_MC:
-        return float(M[0])
+def _load_from_counts(M):
     L = len(M)
     total = 0.0
     for l in range(1, L):
@@ -186,10 +184,45 @@ def _load_from_counts(strategy, M):
     return total
 
 
-def _plan(strategy, p, max_levels):
-    """Size a multilevel plan: ladder length, capped, then per-term counts."""
+def _classical_plan(M, inputs=None):
+    """The single-level plan of ``M`` finest solves: one term, bound 2e, load M."""
+    return LevelPlan(
+        strategy=StrategyId.CLASSICAL_MC,
+        L=1,
+        M=(M,),
+        M_total=(M,),
+        error_bound_multiplier=2.0,
+        relative_load=float(M),
+        inputs=inputs,
+    )
+
+
+def plan_for_strategy(strategy, p, max_levels=None):
+    """Size the plan of ``strategy`` (a StrategyId or its value) from ``p``.
+
+    ``max_levels`` (>= 1) caps the ladder at what a model can resolve.
+
+    * ClassicalMC: the single-level baseline, M = delta^2/e^2 samples at the
+      finest level; bound 2e.  The cap has nothing to cut.
+    * S1: geometric sizing with the minimum sample growth per level.
+      Cheapest of the four multilevel schedules; the a-priori bound grows
+      with the ladder ((L+2) e).  Requires alpha > 0.
+    * S2: aggressive sizing whose bound stays flat at 4e for any ladder.
+    * S3: level-weighted sizing, weights growing toward the *finest* term.
+      Same ladder length as S1 but each term l is amplified by
+      (L-l+1)^(2(1+sigma)), buying a flat (3 + 1/sigma) e bound.  Requires
+      alpha > 0.
+    * S4: level-weighted sizing, weights growing toward the *coarsest* term.
+      The ladder length is the smallest L whose coarsest term already meets
+      the statistical budget; found by an ascending scan (log-space, so no
+      overflow), capped at 64.  Bound: (3 + 1/sigma) e.
+    """
+    strategy = StrategyId(strategy)
     if max_levels is not None and max_levels < 1:
         raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    m_classical = _clamp_count((p.delta / p.e) ** 2)
+    if strategy is StrategyId.CLASSICAL_MC:
+        return _classical_plan(m_classical, p)
     L = _level_count(strategy, p)
     if L is None:
         if max_levels is None or max_levels >= _S4_SCAN_CAP:
@@ -211,81 +244,19 @@ def _plan(strategy, p, max_levels):
     # exceed e, i.e. M_L >= delta^2/e^2.  The formula already guarantees this
     # when L comes from its own ceiling; when a max_levels cap shortened the
     # ladder, the extra samples restore the a-priori bound.
-    M[-1] = max(M[-1], _clamp_count((p.delta / p.e) ** 2))
+    M[-1] = max(M[-1], m_classical)
     return LevelPlan(
         strategy=strategy,
         L=L,
         M=tuple(M),
         M_total=tuple(total_samples_per_level(M)),
         error_bound_multiplier=multiplier,
-        relative_load=_load_from_counts(strategy, M),
+        relative_load=_load_from_counts(M),
         inputs=p,
     )
 
 
-def plan_classical_mc(p):
-    """Single-level baseline: M = delta^2/e^2 samples at the finest level."""
-    M1 = _clamp_count((p.delta / p.e) ** 2)
-    return LevelPlan(
-        strategy=StrategyId.CLASSICAL_MC,
-        L=1,
-        M=(M1,),
-        M_total=(M1,),
-        error_bound_multiplier=2.0,
-        relative_load=float(M1),
-        inputs=p,
-    )
-
-
-def plan_strategy1(p, max_levels=None):
-    """Geometric sizing with the minimum sample growth per level.
-
-    Cheapest of the four multilevel schedules; the a-priori bound grows
-    with the ladder ((L+2) e).  Requires alpha > 0.
-    """
-    return _plan(StrategyId.S1, p, max_levels)
-
-
-def plan_strategy2(p, max_levels=None):
-    """Aggressive sizing whose bound stays flat at 4e for any ladder."""
-    return _plan(StrategyId.S2, p, max_levels)
-
-
-def plan_strategy3(p, max_levels=None):
-    """Level-weighted sizing, weights growing toward the *finest* term.
-
-    Same ladder length as strategy 1 but each term l is amplified by
-    (L-l+1)^(2(1+sigma)), buying a flat (3 + 1/sigma) e bound.  Requires
-    alpha > 0.
-    """
-    return _plan(StrategyId.S3, p, max_levels)
-
-
-def plan_strategy4(p, max_levels=None):
-    """Level-weighted sizing, weights growing toward the *coarsest* term.
-
-    The ladder length is the smallest L whose coarsest term already meets
-    the statistical budget; found by an ascending scan (log-space, so no
-    overflow), capped at 64.  Bound: (3 + 1/sigma) e.
-    """
-    return _plan(StrategyId.S4, p, max_levels)
-
-
-_PLANNERS = {
-    StrategyId.CLASSICAL_MC: lambda p, max_levels=None: plan_classical_mc(p),
-    StrategyId.S1: plan_strategy1,
-    StrategyId.S2: plan_strategy2,
-    StrategyId.S3: plan_strategy3,
-    StrategyId.S4: plan_strategy4,
-}
-
-
-def plan_for_strategy(strategy, p, max_levels=None):
-    """Dispatch to the planner for ``strategy`` (a StrategyId or its value)."""
-    return _PLANNERS[StrategyId(strategy)](p, max_levels=max_levels)
-
-
-def polynomial_n_exponent(strategy, alpha):
+def _polynomial_n_exponent(strategy, alpha):
     """N-exponent of the strategy's polynomial-regime cost cell."""
     strategy = StrategyId(strategy)
     if strategy is StrategyId.CLASSICAL_MC:
@@ -313,7 +284,7 @@ def classify_cost_regime(strategy, alpha, sigma=1.0):
     def g(x):
         return format(x, ".4g")
 
-    n_poly = polynomial_n_exponent(strategy, alpha)
+    n_poly = _polynomial_n_exponent(strategy, alpha)
 
     if strategy is StrategyId.CLASSICAL_MC:
         return CostRegime(

@@ -24,14 +24,7 @@ from mlmckit.models import (
     evaluate_topography,
     sample_topography,
 )
-from mlmckit.planner import (
-    LevelPlan,
-    plan_classical_mc,
-    plan_strategy1,
-    plan_strategy2,
-    plan_strategy3,
-    plan_strategy4,
-)
+from mlmckit.planner import LevelPlan, plan_for_strategy
 from mlmckit.stats import SolutionParameters, estimate_fine_error, unbiased_variance
 from mlmckit.models import TwoScaleModel
 
@@ -90,15 +83,15 @@ def test_golden_plan_table(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_error_bound_multipliers_exact():
-    assert plan_classical_mc(BENCH).error_bound_multiplier == 2.0
-    s1 = plan_strategy1(BENCH)
+    assert plan_for_strategy("ClassicalMC", BENCH).error_bound_multiplier == 2.0
+    s1 = plan_for_strategy("S1", BENCH)
     assert s1.error_bound_multiplier == float(s1.L + 2) == 5.0
-    assert plan_strategy2(BENCH).error_bound_multiplier == 4.0
-    assert plan_strategy3(BENCH).error_bound_multiplier == 4.0  # 3 + 1/sigma
-    assert plan_strategy4(BENCH).error_bound_multiplier == 4.0
+    assert plan_for_strategy("S2", BENCH).error_bound_multiplier == 4.0
+    assert plan_for_strategy("S3", BENCH).error_bound_multiplier == 4.0  # 3 + 1/sigma
+    assert plan_for_strategy("S4", BENCH).error_bound_multiplier == 4.0
     half = SolutionParameters(delta=BENCH.delta, e=BENCH.e, alpha=BENCH.alpha, sigma=0.5)
-    assert plan_strategy3(half).error_bound_multiplier == 5.0
-    assert plan_strategy4(half).error_bound_multiplier == 5.0
+    assert plan_for_strategy("S3", half).error_bound_multiplier == 5.0
+    assert plan_for_strategy("S4", half).error_bound_multiplier == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +122,7 @@ def test_gbm_pipeline_brackets_exact_mean():
     hits = 0
     for rep in range(100):
         params = pilot_estimate_parameters(model, 256, base_seed=rep)
-        plan = plan_strategy2(params, max_levels=model.max_level)
+        plan = plan_for_strategy("S2", params, max_levels=model.max_level)
         report = run_mlmc(model, plan, base_seed=rep)
         if abs(report.estimate - exact) <= report.a_priori_error_bound:
             hits += 1
@@ -168,8 +161,8 @@ def test_variance_decay_burgers():
 
 def test_multilevel_saves_load_at_matched_accuracy():
     model = GBMModel()
-    plan = plan_strategy1(BENCH)  # (11, 48, 210) across 3 of the 4 levels
-    classical_m = plan_classical_mc(BENCH).M[0]  # 59 finest-level solves
+    plan = plan_for_strategy("S1", BENCH)  # (11, 48, 210) across 3 of the 4 levels
+    classical_m = plan_for_strategy("ClassicalMC", BENCH).M[0]  # 59 finest-level solves
 
     mc = run_classical_mc(model, 1, classical_m, base_seed=0)
     ml = run_mlmc(model, plan, base_seed=0)
@@ -230,7 +223,7 @@ def test_reports_byte_identical_for_any_worker_count(tmp_path):
     pilots = [pilot_estimate_parameters(model, 40000, base_seed=3, workers=w) for w in workers]
     assert all(p == pilots[0] for p in pilots)
     params = pilots[0]
-    base = plan_strategy2(params, max_levels=model.max_level)
+    base = plan_for_strategy("S2", params, max_levels=model.max_level)
     plan = LevelPlan(
         strategy=base.strategy,
         L=2,

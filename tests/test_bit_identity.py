@@ -26,7 +26,7 @@ from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.cli import main
 from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
 from mlmckit.models import BurgersModel, GBMModel, TwoScaleModel
-from mlmckit.planner import plan_strategy2, plan_strategy3
+from mlmckit.planner import plan_for_strategy
 
 SEEDS = counter_seeds(2024, 0, 1000)
 
@@ -84,7 +84,7 @@ def _two_scale_s3_plan(e_divisor):
     model = TwoScaleModel()
     params = pilot_estimate_parameters(model, 512, base_seed=11, workers=2)
     params = dataclasses.replace(params, e=params.e / e_divisor)
-    return model, plan_strategy3(params, max_levels=model.max_level)
+    return model, plan_for_strategy("S3", params, max_levels=model.max_level)
 
 
 def test_two_scale_s3_report_bytes_are_pinned():
@@ -98,7 +98,8 @@ def test_two_scale_s3_report_bytes_are_pinned():
 
 def test_gbm_s2_report_bytes_are_pinned():
     model = GBMModel()
-    plan = plan_strategy2(pilot_estimate_parameters(model, 256, base_seed=5), max_levels=4)
+    params = pilot_estimate_parameters(model, 256, base_seed=5)
+    plan = plan_for_strategy("S2", params, max_levels=4)
     assert plan.M == (5, 38, 261, 55198)
     report = run_mlmc(model, plan, base_seed=5)
     assert _report_digest(report) == (

@@ -51,6 +51,11 @@ def test_plan_flag_errors(tmp_path, capsys):
     assert main(["plan", "--delta", "10", "--err", "1.0", "--alpha", "0.0",
                  "--strategy", "s1"]) == 2  # singular level count
     assert main(["plan", *BENCH_FLAGS, "--r1", "0.5"]) == 2  # flag removed
+    out = tmp_path / "p.json"
+    for strategy in ("mc", "s1"):  # mc ignored the cap and exited 0
+        flags = ["--strategy", strategy, "--max-levels", "0", "--out", str(out)]
+        assert main(["plan", *BENCH_FLAGS, *flags]) == 2
+        assert not out.exists()
     capsys.readouterr()
 
 
@@ -152,11 +157,24 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
         {"kind": "gbm", "spec": {"vol": float("nan")}},
         {"kind": "gbm", "spec": {"r_drift": float("inf")}},
         {"kind": "two_scale", "spec": {"alpha": float("nan")}},
+        {"kind": "two_scale", "spec": {"max_lvl": 4}},
+        {"kind": "burgers", "spec": {"forcing": {"Lx": 1.0, "HH": 1.0, "k_rnage": [1, 2]}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": "5", "Lx": 1.0, "Ly": 1.0}}},
     ],
-    ids=["two_scale_max_level", "gbm_max_level", "gbm_vol", "gbm_r_drift", "two_scale_alpha"],
+    ids=[
+        "two_scale_max_level",
+        "gbm_max_level",
+        "gbm_vol",
+        "gbm_r_drift",
+        "two_scale_alpha",
+        "two_scale_unknown_key",
+        "burgers_forcing_unknown_key",
+        "burgers_forcing_string",
+    ],
 )
 def test_model_spec_values_a_run_cannot_use_exit_2(tmp_path, capsys, model):
-    # A two_scale "max_level": 3.5 was truncated to 3 and ran.
+    # A two_scale "max_level": 3.5 was truncated to 3 and ran; a misspelt
+    # two_scale or forcing key was ignored and the run took the defaults.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": model, "strategy": "s1"}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
@@ -414,6 +432,8 @@ def test_report_malformed_exits_5(tmp_path, capsys):
     _write(bad, {"estimate": 1.0})  # missing fields
     assert main(["report", str(bad)]) == 5
     _write(bad, {**_fake_report("S1", 10.0), "realized_load": "noon"})
+    assert main(["report", str(bad)]) == 5
+    _write(bad, {**_fake_report("S1", 10.0), "estimate": True})  # printed as 1
     assert main(["report", str(bad)]) == 5
     assert main(["report", str(tmp_path / "absent.json")]) == 5
     capsys.readouterr()

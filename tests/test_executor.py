@@ -21,7 +21,7 @@ from mlmckit.executor import (
     run_mlmc,
 )
 from mlmckit.models import TwoScaleModel
-from mlmckit.planner import LevelPlan, StrategyId, plan_for_strategy, plan_strategy1
+from mlmckit.planner import LevelPlan, StrategyId, plan_for_strategy
 from mlmckit.stats import SolutionParameters, total_samples_per_level, unbiased_variance
 
 
@@ -789,7 +789,7 @@ def test_pilot_samples_must_be_whole_before_any_draw(monkeypatch):
 def test_mlmc_agrees_with_single_level_mc():
     model = TwoScaleModel()
     params = pilot_estimate_parameters(model, 400, base_seed=100)
-    plan = plan_strategy1(params, max_levels=model.max_level)
+    plan = plan_for_strategy("S1", params, max_levels=model.max_level)
     mlmc = run_mlmc(model, plan, base_seed=100)
     mc = run_classical_mc(model, 1, 4000, base_seed=100)
     combined = math.hypot(mlmc.estimated_std_error, mc.estimated_std_error)

@@ -133,7 +133,7 @@ def test_spec_validation_and_round_trip():
     with pytest.raises(ValueError):
         TopographySpec(l_range=(0, 4))
     spec = TopographySpec(H=250.0, k_range=(2, 6))
-    assert TopographySpec.from_json_dict({"H": 250.0, "k_range": [2, 6]}) == spec
+    assert TopographySpec(**{"H": 250.0, "k_range": [2, 6]}) == spec
 
 
 def test_csv_dump(tmp_path):

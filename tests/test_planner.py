@@ -10,14 +10,9 @@ from mlmckit.planner import (
     Growth,
     LevelPlan,
     StrategyId,
+    _polynomial_n_exponent,
     classify_cost_regime,
-    plan_classical_mc,
     plan_for_strategy,
-    plan_strategy1,
-    plan_strategy2,
-    plan_strategy3,
-    plan_strategy4,
-    polynomial_n_exponent,
     relative_dof,
 )
 from mlmckit.stats import SolutionParameters
@@ -26,8 +21,7 @@ from mlmckit.stats import SolutionParameters
 # per-level decay exponent just above 1.
 BENCH = SolutionParameters(delta=7.36e7, e=9.6e6, alpha=1.07)
 
-MULTILEVEL_PLANNERS = [plan_strategy1, plan_strategy2, plan_strategy3, plan_strategy4]
-ALL_PLANNERS = [lambda p, max_levels=None: plan_classical_mc(p)] + MULTILEVEL_PLANNERS
+MULTILEVEL = [StrategyId.S1, StrategyId.S2, StrategyId.S3, StrategyId.S4]
 
 
 def _round_half_up(x):
@@ -35,11 +29,35 @@ def _round_half_up(x):
 
 
 # ---------------------------------------------------------------------------
+# the resolution ladder's degrees-of-freedom law
+# ---------------------------------------------------------------------------
+
+def test_relative_dof_ladder():
+    assert relative_dof(1) == 1.0
+    assert relative_dof(2) == 0.125
+    assert relative_dof(3) == 1.0 / 64.0
+    assert relative_dof(4) == 1.0 / 512.0
+
+
+@given(st.integers(min_value=1, max_value=100))
+def test_relative_dof_exact_power_of_two(level):
+    # 8^-(l-1) is a power of two: exactly representable, so the float must
+    # match the rational value with no rounding at all.
+    assert Fraction(relative_dof(level)) == Fraction(1, 8 ** (level - 1))
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
+def test_level_validation(bad):
+    with pytest.raises(ValueError):
+        relative_dof(bad)
+
+
+# ---------------------------------------------------------------------------
 # benchmark plans (golden values)
 # ---------------------------------------------------------------------------
 
 def test_classical_benchmark():
-    plan = plan_classical_mc(BENCH)
+    plan = plan_for_strategy("ClassicalMC", BENCH)
     assert plan.strategy is StrategyId.CLASSICAL_MC
     assert plan.L == 1
     assert plan.M == (59,)
@@ -49,7 +67,7 @@ def test_classical_benchmark():
 
 
 def test_strategy1_benchmark():
-    plan = plan_strategy1(BENCH)
+    plan = plan_for_strategy("S1", BENCH)
     assert plan.L == 3
     assert plan.M == (11, 48, 210)
     assert plan.M_total == (11, 59, 258)
@@ -58,7 +76,7 @@ def test_strategy1_benchmark():
 
 
 def test_strategy2_benchmark():
-    plan = plan_strategy2(BENCH)
+    plan = plan_for_strategy("S2", BENCH)
     assert plan.L == 2
     assert plan.M == (11, 191)
     assert plan.M_total == (11, 202)
@@ -67,7 +85,7 @@ def test_strategy2_benchmark():
 
 
 def test_strategy3_benchmark():
-    plan = plan_strategy3(BENCH)
+    plan = plan_for_strategy("S3", BENCH)
     assert plan.L == 3
     assert plan.M == (876, 763, 210)
     assert plan.M_total == (876, 1639, 973)
@@ -76,7 +94,7 @@ def test_strategy3_benchmark():
 
 
 def test_strategy4_benchmark():
-    plan = plan_strategy4(BENCH)
+    plan = plan_for_strategy("S4", BENCH)
     assert plan.L == 2
     assert plan.M == (11, 763)
     assert plan.M_total == (11, 774)
@@ -87,16 +105,16 @@ def test_strategy4_benchmark():
 def test_benchmark_loads_beat_or_price_out_classical():
     # The cheap geometric schedules land well under the classical 59 solves;
     # the level-weighted ones pay for their flat bounds.
-    assert plan_strategy1(BENCH).relative_load < 0.45 * 59.0
-    assert plan_strategy2(BENCH).relative_load < 59.0
-    assert plan_strategy3(BENCH).relative_load > 59.0
-    assert plan_strategy4(BENCH).relative_load > 59.0
+    assert plan_for_strategy("S1", BENCH).relative_load < 0.45 * 59.0
+    assert plan_for_strategy("S2", BENCH).relative_load < 59.0
+    assert plan_for_strategy("S3", BENCH).relative_load > 59.0
+    assert plan_for_strategy("S4", BENCH).relative_load > 59.0
 
 
 def test_load_matches_exact_fraction_oracle():
     # Hand-computed with exact rationals: term l < L pays dof(l) + dof(l+1)
     # per sample, the coarsest term dof(L) only.
-    plan = plan_strategy1(BENCH)
+    plan = plan_for_strategy("S1", BENCH)
     oracle = (
         11 * (Fraction(1) + Fraction(1, 8))
         + 48 * (Fraction(1, 8) + Fraction(1, 64))
@@ -105,7 +123,7 @@ def test_load_matches_exact_fraction_oracle():
     assert oracle == Fraction(717, 32)
     assert Fraction(plan.relative_load) == oracle
 
-    plan2 = plan_strategy2(BENCH)
+    plan2 = plan_for_strategy("S2", BENCH)
     assert Fraction(plan2.relative_load) == 11 * Fraction(9, 8) + Fraction(191, 8)
 
 
@@ -115,8 +133,8 @@ def test_load_matches_exact_fraction_oracle():
 
 def test_equal_delta_and_e_collapses_to_one_level():
     p = SolutionParameters(delta=1.0, e=1.0, alpha=1.0)
-    assert plan_classical_mc(p).M == (1,)
-    plan = plan_strategy1(p)
+    assert plan_for_strategy("ClassicalMC", p).M == (1,)
+    plan = plan_for_strategy("S1", p)
     assert plan.L == 1
     assert plan.M == (10,)  # the shared prefactor 2 (1 + 4^alpha) alone
 
@@ -124,27 +142,29 @@ def test_equal_delta_and_e_collapses_to_one_level():
 def test_alpha_zero_rejected_where_singular():
     p = SolutionParameters(delta=10.0, e=1.0, alpha=0.0)
     with pytest.raises(ValueError):
-        plan_strategy1(p)
+        plan_for_strategy("S1", p)
     with pytest.raises(ValueError):
-        plan_strategy3(p)
+        plan_for_strategy("S3", p)
     # No singularity for these two:
-    assert plan_strategy2(p).L >= 1
-    assert plan_classical_mc(p).M == (100,)
+    assert plan_for_strategy("S2", p).L >= 1
+    assert plan_for_strategy("ClassicalMC", p).M == (100,)
 
 
 def test_max_levels_cap_pumps_coarse_term():
     # Capped to a single level, every strategy degenerates to (at least)
     # the classical sample count so the error bound survives.
-    capped = plan_strategy2(BENCH, max_levels=1)
+    capped = plan_for_strategy("S2", BENCH, max_levels=1)
     assert capped.L == 1
     assert capped.M == (59,)
     # Uncapped benchmark plans are unchanged by generous caps.
-    assert plan_strategy1(BENCH, max_levels=10) == plan_strategy1(BENCH)
+    assert plan_for_strategy("S1", BENCH, max_levels=10) == plan_for_strategy("S1", BENCH)
 
 
 def test_max_levels_validation():
-    with pytest.raises(ValueError):
-        plan_strategy1(BENCH, max_levels=0)
+    # The classical plan has no ladder to cap, but rejects a bad cap too.
+    for strategy in StrategyId:
+        with pytest.raises(ValueError):
+            plan_for_strategy(strategy, BENCH, max_levels=0)
 
 
 def test_strategy4_scan_exhaustion():
@@ -152,16 +172,17 @@ def test_strategy4_scan_exhaustion():
     # budget, and with no cap to fall back on the planner must refuse.
     p = SolutionParameters(delta=1e5, e=1.0, alpha=0.01)
     with pytest.raises(ValueError):
-        plan_strategy4(p)
-    capped = plan_strategy4(p, max_levels=4)
+        plan_for_strategy("S4", p)
+    capped = plan_for_strategy("S4", p, max_levels=4)
     assert capped.L == 4
     assert capped.M[-1] >= _round_half_up((p.delta / p.e) ** 2)
 
 
 def test_plan_for_strategy_dispatch():
-    assert plan_for_strategy("S1", BENCH) == plan_strategy1(BENCH)
-    assert plan_for_strategy(StrategyId.S4, BENCH) == plan_strategy4(BENCH)
-    assert plan_for_strategy("ClassicalMC", BENCH) == plan_classical_mc(BENCH)
+    for strategy in StrategyId:
+        plan = plan_for_strategy(strategy.value, BENCH)
+        assert plan.strategy is strategy
+        assert plan == plan_for_strategy(strategy, BENCH)
     with pytest.raises(ValueError):
         plan_for_strategy("S9", BENCH)
 
@@ -180,10 +201,10 @@ param_sets = st.builds(
 
 
 @settings(max_examples=60, deadline=None)
-@given(param_sets, st.sampled_from(MULTILEVEL_PLANNERS))
-def test_plan_invariants(p, planner):
+@given(param_sets, st.sampled_from(MULTILEVEL))
+def test_plan_invariants(p, strategy):
     try:
-        plan = planner(p)
+        plan = plan_for_strategy(strategy, p)
     except ValueError:
         return  # strategy-4 scan exhaustion on extreme inputs
     assert plan.L >= 1
@@ -205,14 +226,14 @@ def test_plan_invariants(p, planner):
     st.floats(min_value=2.0, max_value=1e6),
     st.floats(min_value=1.2, max_value=20.0),
     st.floats(min_value=0.05, max_value=3.0),
-    st.sampled_from(MULTILEVEL_PLANNERS),
+    st.sampled_from(MULTILEVEL),
 )
-def test_ladder_grows_with_spread_ratio(ratio, factor, alpha, planner):
+def test_ladder_grows_with_spread_ratio(ratio, factor, alpha, strategy):
     p_small = SolutionParameters(delta=ratio, e=1.0, alpha=alpha)
     p_big = SolutionParameters(delta=ratio * factor, e=1.0, alpha=alpha)
     try:
-        small = planner(p_small)
-        big = planner(p_big)
+        small = plan_for_strategy(strategy, p_small)
+        big = plan_for_strategy(strategy, p_big)
     except ValueError:
         return  # strategy-4 scan exhaustion on extreme inputs
     assert big.L >= small.L
@@ -223,8 +244,8 @@ def test_ladder_grows_with_spread_ratio(ratio, factor, alpha, planner):
 # ---------------------------------------------------------------------------
 
 def test_plan_json_round_trip_and_key_order():
-    for planner in ALL_PLANNERS:
-        plan = planner(BENCH)
+    for strategy in StrategyId:
+        plan = plan_for_strategy(strategy, BENCH)
         d = plan.to_json_dict()
         assert list(d) == [
             "strategy",
@@ -269,7 +290,7 @@ def test_classical_regime_polynomial_for_every_alpha():
     for alpha in (0.0, 0.5, 1.07, 1.5, 3.0):
         cell = classify_cost_regime(StrategyId.CLASSICAL_MC, alpha)
         assert cell.growth is Growth.POLYNOMIAL
-    assert polynomial_n_exponent(StrategyId.CLASSICAL_MC, 1.07) == pytest.approx(
+    assert _polynomial_n_exponent(StrategyId.CLASSICAL_MC, 1.07) == pytest.approx(
         1.7133333333333334, rel=1e-15
     )
     assert classify_cost_regime("ClassicalMC", 1.07).formula == "O(delta^2 * N^1.713)"
@@ -285,7 +306,7 @@ def test_strategy1_regime_switch_at_three_halves():
     top = classify_cost_regime("S1", 2.0)
     assert top.growth is Growth.POLYNOMIAL
     assert top.formula == "O(delta^0.5 * N^1.333)"
-    assert polynomial_n_exponent("S1", 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert _polynomial_n_exponent("S1", 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 def test_strategy2_regime_switch_at_one_half():
@@ -294,7 +315,7 @@ def test_strategy2_regime_switch_at_one_half():
     assert classify_cost_regime("S2", 0.5).growth is Growth.QUASILINEAR
     cell = classify_cost_regime("S2", 1.07)
     assert cell.growth is Growth.POLYNOMIAL
-    assert polynomial_n_exponent("S2", 1.07) == pytest.approx(1.1964, abs=1e-3)
+    assert _polynomial_n_exponent("S2", 1.07) == pytest.approx(1.1964, abs=1e-3)
     assert cell.formula == "O(delta^0.5507 * N^1.196)"
 
 
