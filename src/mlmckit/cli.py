@@ -14,10 +14,10 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from ._checks import _whole
 from .executor import (
     DegenerateModelError,
     ModelEvaluationError,
-    _whole,
     pilot_estimate_parameters,
     run_classical_mc,
     run_mlmc,

@@ -19,21 +19,31 @@ CPUs (the process's affinity mask), resolved once per call; ``workers=1``
 runs serially without a pool.  The calling thread works as one of the
 workers, next to at most ``workers - 1`` helpers from one thread pool per
 call, so a call never runs more threads than ``workers`` or than the
-chunks of its largest term.  A term's samples are split into fixed chunks
-of ``_CHUNK`` seeds, handed out in sample order from one shared counter.
-Each chunk derives its own seeds from (base_seed, counter), evaluates them
-at every level of its term back to back, in ascending order, on one
-thread, with one ``evaluate_many`` call per level (models may rely on that,
-for example to reuse a draw), checks that each level's values are finite,
-and writes the coupled difference straight into the term's values.
+chunks of its largest term.  :func:`_chunk_size` splits a term by its
+sample count alone into chunks that are equal but for a smaller last one:
+one chunk per 512 samples begun, up to eight chunks, so eight from 3585 to
+131 072 samples, and chunks of at most ``_CHUNK`` = 16 384 seeds beyond.
+The chunks are handed out in sample order from one shared counter.  Each
+chunk derives its own seeds from (base_seed, counter), evaluates them at
+every level of its term back to back, in ascending order, on one thread,
+with one ``evaluate_many`` call per level (models may rely on that, for
+example to reuse a draw), checks that each level's values are finite, and
+writes the coupled difference straight into the term's values.
 Per-level values are kept only for a sample log and for the pilot, which
 needs its three levels.  Chunk boundaries and aggregation do not depend on
 the worker count, so neither do the bytes of any report.
 
 On 2 vCPUs the default of two workers took ``gbm_capped``'s median
 ``run_s`` from 0.251 to 0.145 s (1.73x, ten alternating 50 s runs against
-one worker), while TwoScale stays nearly flat (a 7-level S3 ``run_mlmc``
-took a median 39 ms at one worker and 35 ms at two).
+one worker).  Cutting every term into up to eight chunks, where fixed
+16384-seed chunks ran its 4096-sample pilot on one thread, then took its
+median ``pipeline_s`` from 0.172 to 0.146 s (ten alternating 50 s pairs,
+all ten won; traced, the pilot went from 34 to 18.5 ms).  TwoScale gains
+less from a second worker: ``twoscale_cli``'s 7-level S3 ``run_mlmc``
+took 26-30 ms at one worker and 22-24 ms at two, because each term's
+statistics (three exact sums, about 9 ms per run) run on the calling
+thread after the term, while only the draws (``normal_lanes``, about
+15 ms per run on one thread) are shared.
 
 Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk
@@ -42,11 +52,11 @@ failing seed at that level, unless the model raises that error itself.
 A raised error is traced to its seed by halving the batch, in O(log chunk)
 calls (see :func:`_evaluate_chunk`).  Once a chunk fails no further chunk
 is handed out; the lowest failing chunk is raised after every chunk before
-it has finished, so the error does not depend on the worker count.
+it has finished.  Chunks are cut by sample count alone, so the error does
+not depend on the worker count.
 """
 
 import math
-import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -57,7 +67,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._bits import MASK64, counter_seeds, mix64_int
+from ._bits import counter_seeds, mix64_int
+from ._checks import _check_base_seed, _check_workers, _whole
 from .planner import LevelPlan, StrategyId, _classical_plan, relative_dof
 from .stats import (
     LevelTermStats,
@@ -72,17 +83,20 @@ from .stats import (
 # with the same base_seed never reuses them.
 _PILOT_SALT = 0x70696C6F74C0FFEE
 
-# Fixed scheduling granularity: chunk boundaries must not depend on the
-# worker count, or the "same bytes for any workers" guarantee would hinge
-# on floating-point aggregation order.  (It does not — aggregation is done
-# on the assembled arrays — but fixed chunks also keep model-side batching
-# deterministic.)  The size is measured on twoscale_cli (2 vCPUs, four
-# alternating 20 s runs): median run_s 0.153 s for the old 4096-seed loop,
-# 0.139 s for this loop at 8192 seeds and 0.117 s at 16384.  32768 ran
-# faster still, but the workload's 31 070-sample classical run then fits one
-# chunk and skips the pool, which cut mlmc_speedup by a third, and peak RSS
-# rose by a tenth.
+# Scheduling granularity (see _chunk_size).  Chunk boundaries depend on a
+# term's sample count alone, never on the worker count, so model-side
+# batching is the same for any workers.  _CHUNK caps a chunk: on
+# twoscale_cli (2 vCPUs, four alternating 20 s runs) fixed chunks of 4096,
+# 8192 and 16384 seeds gave a median run_s of 0.153, 0.139 and 0.117 s;
+# 32768 ran faster still, but rose peak RSS by a tenth.  _SPLIT chunks per
+# term keep every thread of up to _SPLIT busy to the end of a term, where
+# fixed 16384-seed chunks left GBM's 4096-sample pilot on one thread and
+# its 74 930-sample closure term ending on one.  A term gets one chunk per
+# _CHUNK_STEP samples begun, up to _SPLIT, which bounds the per-chunk cost
+# (seed derivation, a lock, one model call per level) that small terms pay.
 _CHUNK = 16384
+_SPLIT = 8
+_CHUNK_STEP = 512
 
 
 class ModelEvaluationError(RuntimeError):
@@ -158,42 +172,14 @@ class RunReport:
         }
 
 
-def _check_base_seed(base_seed):
-    if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-        raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
-    if not 0 <= base_seed <= MASK64:
-        raise ValueError(f"base_seed must fit in 64 bits, got {base_seed}")
+def _chunk_size(count):
+    """Seeds per chunk of a ``count``-sample term; only the last chunk is smaller.
 
-
-def _usable_cpus():
-    """The CPUs this process may run on, or the machine's count where unknown."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _check_workers(workers):
-    """``workers`` as a thread count: the usable CPUs for None."""
-    if workers is None:
-        return _usable_cpus()
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
-def _whole(name, value, low, high):
-    """``value`` as an int within ``low..high`` (no upper limit if None); 2.0 is 2."""
-    try:
-        ok = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or value < low or (high is not None and value > high):
-        within = f">= {low}" if high is None else f"within {low}..{high}"
-        raise ValueError(f"{name} must be an integer {within}, got {value!r}")
-    return int(value)
+    The term is cut into ``max(ceil(count / _CHUNK), min(_SPLIT,
+    ceil(count / _CHUNK_STEP)))`` chunks, as equal as whole seeds allow.
+    """
+    n = max(-(-count // _CHUNK), min(_SPLIT, -(-count // _CHUNK_STEP)))
+    return -(-count // n)
 
 
 def _helpers(workers, largest):
@@ -202,7 +188,7 @@ def _helpers(workers, largest):
     The caller works too, so a call runs on at most ``workers`` threads and
     never on more threads than its largest term has chunks.
     """
-    return min(workers, -(-largest // _CHUNK)) - 1
+    return min(workers, -(-largest // _chunk_size(largest))) - 1
 
 
 def _pool(helpers):
@@ -261,14 +247,15 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     """
     values = np.empty(count)
     rows = np.empty((len(levels), count)) if keep else None
-    chunks = -(-count // _CHUNK)
+    size = _chunk_size(count)
+    chunks = -(-count // size)
     lock = threading.Lock()
     handed = 0  # chunks handed out so far
     stop = chunks  # no chunk at or past this index is handed out
     failures = {}  # chunk index -> the error it raised
 
     def run_chunk(i):
-        seeds = counter_seeds(base_seed, start + i, min(_CHUNK, count - i))
+        seeds = counter_seeds(base_seed, start + i, min(size, count - i))
         done = slice(i, i + len(seeds))
         for j, level in enumerate(levels):
             out = _evaluate_chunk(model, level, seeds)
@@ -291,7 +278,7 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
                     return
                 handed += 1
             try:
-                run_chunk(k * _CHUNK)
+                run_chunk(k * size)
             except Exception as exc:
                 with lock:
                     failures[k] = exc

@@ -14,7 +14,8 @@ from typing import Optional
 import numpy as np
 
 from ._bits import _tiles, normal_lanes, scratch
-from .executor import ModelEvaluationError, QoIModel, _whole
+from ._checks import _finite, _whole
+from .executor import ModelEvaluationError, QoIModel
 
 
 # ---------------------------------------------------------------------------
@@ -38,16 +39,17 @@ class TopographySpec:
     l_range: tuple = (4, 20)
 
     def __post_init__(self):
+        for name in ("H", "Lx", "Ly"):
+            _finite(name, getattr(self, name))
         if self.H < 0:
             raise ValueError(f"H must be >= 0, got {self.H}")
         if not self.Lx > 0 or not self.Ly > 0:
             raise ValueError(f"Lx and Ly must be positive, got {self.Lx}, {self.Ly}")
-        for name, rng in (("k_range", self.k_range), ("l_range", self.l_range)):
-            lo, hi = rng
-            if int(lo) != lo or int(hi) != hi or lo < 1 or hi < lo:
-                raise ValueError(f"{name} must be an integer interval within [1, inf), got {rng}")
-        object.__setattr__(self, "k_range", (int(self.k_range[0]), int(self.k_range[1])))
-        object.__setattr__(self, "l_range", (int(self.l_range[0]), int(self.l_range[1])))
+        for name in ("k_range", "l_range"):
+            lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
+            if hi < lo:
+                raise ValueError(f"{name} must be an integer interval, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
 
     @property
     def n_k(self):
@@ -280,6 +282,8 @@ class BurgersSpec:
     forcing: Optional[TopographySpec] = None
 
     def __post_init__(self):
+        for name in ("viscosity", "domain_length", "time_horizon"):
+            _finite(name, getattr(self, name))
         if not self.viscosity > 0:
             raise ValueError(f"viscosity must be positive, got {self.viscosity}")
         if not self.domain_length > 0:

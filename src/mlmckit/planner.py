@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ._checks import _whole
 from .stats import SolutionParameters, total_samples_per_level
 
 
@@ -200,7 +201,8 @@ def _classical_plan(M, inputs=None):
 def plan_for_strategy(strategy, p, max_levels=None):
     """Size the plan of ``strategy`` (a StrategyId or its value) from ``p``.
 
-    ``max_levels`` (>= 1) caps the ladder at what a model can resolve.
+    ``max_levels``, a whole number >= 1 (10.0 is 10), caps the ladder at
+    what a model can resolve.
 
     * ClassicalMC: the single-level baseline, M = delta^2/e^2 samples at the
       finest level; bound 2e.  The cap has nothing to cut.
@@ -218,8 +220,8 @@ def plan_for_strategy(strategy, p, max_levels=None):
       overflow), capped at 64.  Bound: (3 + 1/sigma) e.
     """
     strategy = StrategyId(strategy)
-    if max_levels is not None and max_levels < 1:
-        raise ValueError(f"max_levels must be >= 1, got {max_levels}")
+    if max_levels is not None:
+        max_levels = _whole("max_levels", max_levels, 1, None)
     m_classical = _clamp_count((p.delta / p.e) ** 2)
     if strategy is StrategyId.CLASSICAL_MC:
         return _classical_plan(m_classical, p)

@@ -160,6 +160,11 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
         {"kind": "two_scale", "spec": {"max_lvl": 4}},
         {"kind": "burgers", "spec": {"forcing": {"Lx": 1.0, "HH": 1.0, "k_rnage": [1, 2]}}},
         {"kind": "burgers", "spec": {"forcing": {"H": "5", "Lx": 1.0, "Ly": 1.0}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": float("nan"), "Lx": 1.0, "Ly": 1.0}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": 5.0, "Lx": float("inf"), "Ly": 1.0}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": True, "Lx": 1.0, "Ly": 1.0}}},
+        {"kind": "burgers", "spec": {"viscosity": float("inf")}},
+        {"kind": "burgers", "spec": {"viscosity": True}},
     ],
     ids=[
         "two_scale_max_level",
@@ -170,6 +175,11 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
         "two_scale_unknown_key",
         "burgers_forcing_unknown_key",
         "burgers_forcing_string",
+        "burgers_forcing_nan",
+        "burgers_forcing_inf",
+        "burgers_forcing_bool",
+        "burgers_viscosity_inf",
+        "burgers_viscosity_bool",
     ],
 )
 def test_model_spec_values_a_run_cannot_use_exit_2(tmp_path, capsys, model):

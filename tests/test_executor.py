@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mlmckit import executor, models
+from mlmckit import _checks, executor, models
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.executor import (
     DegenerateModelError,
@@ -25,14 +25,20 @@ from mlmckit.planner import LevelPlan, StrategyId, plan_for_strategy
 from mlmckit.stats import SolutionParameters, total_samples_per_level, unbiased_variance
 
 
-# Terms sized from the executor's chunk: two full chunks and a ragged tail.
+# The executor's largest chunk, and a term of eight chunks.
 CHUNK = executor._CHUNK
 SPAN = 2 * CHUNK + 808
 
 
 def _chunks(count):
     """Seed counts of the chunks a ``count``-sample term is split into."""
-    return [min(CHUNK, count - i) for i in range(0, count, CHUNK)]
+    size = executor._chunk_size(count)
+    return [min(size, count - i) for i in range(0, count, size)]
+
+
+def _starts(count):
+    """Sample index of each chunk's first seed in a ``count``-sample term."""
+    return list(range(0, count, executor._chunk_size(count)))
 
 
 def _plan(strategy, M, inputs=None, multiplier=4.0):
@@ -179,6 +185,51 @@ def pools(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize(
+    "count",
+    [1, 2, 511, 512, 513, 1000, 4095, 4096, 4097, 9000, SPAN, 74930]
+    + [8 * CHUNK - 1, 8 * CHUNK, 8 * CHUNK + 1, 10 * CHUNK, 10 * CHUNK + 5, 100 * CHUNK + 3],
+)
+def test_chunks_are_equal_but_the_last_and_at_most_chunk(count):
+    sizes = _chunks(count)
+    assert sum(sizes) == count
+    assert max(sizes) <= CHUNK
+    assert sizes[:-1] == [sizes[0]] * (len(sizes) - 1)
+    assert 1 <= sizes[-1] <= sizes[0]
+    # One chunk per 512 samples begun, up to eight, and beyond eight only
+    # as many as keep each within CHUNK.
+    assert len(sizes) == max(math.ceil(count / CHUNK), min(8, math.ceil(count / 512)))
+
+
+def test_chunk_sizes_depend_on_the_sample_count_alone():
+    assert _chunks(4096) == [512] * 8  # the default pilot, on eight chunks
+    assert _chunks(74930) == [9367] * 7 + [9361]
+    assert _chunks(8 * CHUNK) == [CHUNK] * 8
+    assert _chunks(500) == [500]
+
+    class BatchSizes(TwoScaleModel):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def evaluate_many(self, level, seeds):
+            self.sizes.append((level, len(seeds)))
+            return super().evaluate_many(level, seeds)
+
+    for workers in (1, 2, 3, None):
+        model = BatchSizes()
+        run_classical_mc(model, 1, SPAN, 0, workers=workers)
+        run_mlmc(model, _plan(StrategyId.S2, (CHUNK + 1, 700)), 0, workers=workers)
+        pilot_estimate_parameters(model, 4096, 0, workers=workers)
+        expect = (
+            [(1, n) for n in _chunks(SPAN)]
+            + [(lv, n) for n in _chunks(CHUNK + 1) for lv in (1, 2)]
+            + [(2, n) for n in _chunks(700)]
+            + [(lv, n) for n in _chunks(4096) for lv in (1, 2, 3)]
+        )
+        assert sorted(model.sizes) == sorted(expect)
+
+
 def test_one_pool_per_call_with_workers(pools):
     # The caller works too, so a pool holds workers - 1 helpers, and no more
     # than the largest term has chunks after the caller's.
@@ -192,14 +243,41 @@ def test_one_pool_per_call_with_workers(pools):
     run_classical_mc(model, 1, SPAN, 0, workers=3)
     assert pools == [2]
     pools.clear()
-    run_classical_mc(model, 1, SPAN, 0, workers=8)
+    run_classical_mc(model, 1, SPAN, 0, workers=16)
     assert pools == [len(_chunks(SPAN)) - 1]
     pools.clear()
     # A call whose every term is one chunk runs on the caller alone.
-    run_mlmc(model, _plan(StrategyId.S1, (9000, 5000, 4097, 300)), 0, workers=2)
-    pilot_estimate_parameters(model, 9000, 0, workers=2)
-    run_classical_mc(model, 1, CHUNK, 0, workers=3)
+    one = executor._CHUNK_STEP
+    assert _chunks(one) == [one]
+    run_mlmc(model, _plan(StrategyId.S1, (one, 300, 200, 100)), 0, workers=2)
+    pilot_estimate_parameters(model, one, 0, workers=2)
+    run_classical_mc(model, 1, one, 0, workers=3)
     assert pools == []
+
+
+def test_a_4096_sample_pilot_runs_on_two_threads(pools):
+    class MeetsAHelper(TwoScaleModel):
+        """Each thread's first batch waits until a second thread has started one."""
+
+        def __init__(self):
+            super().__init__()
+            self.meet = threading.Barrier(2, timeout=5)
+            self.lock = threading.Lock()
+            self.threads = set()
+
+        def evaluate_many(self, level, seeds):
+            with self.lock:
+                first = threading.get_ident() not in self.threads
+                self.threads.add(threading.get_ident())
+            if first:
+                self.meet.wait()
+            return super().evaluate_many(level, seeds)
+
+    model = MeetsAHelper()
+    params = pilot_estimate_parameters(model, 4096, 21, workers=2)
+    assert pools == [1]
+    assert len(model.threads) == 2
+    assert params == pilot_estimate_parameters(TwoScaleModel(), 4096, 21, workers=1)
 
 
 def test_no_pool_for_one_worker(pools):
@@ -240,8 +318,8 @@ def test_a_call_runs_on_at_most_workers_threads_and_chunks(workers):
             self.alive.append(threading.active_count())
             return super().evaluate_many(level, seeds)
 
-    usable = executor._usable_cpus() if workers is None else workers
-    for M in ((SPAN, CHUNK + 1, 300), (9000, 300)):
+    usable = _checks._usable_cpus() if workers is None else workers
+    for M in ((SPAN, CHUNK + 1, 300), (executor._CHUNK_STEP, 300)):
         model = ThreadCounter()
         before = threading.active_count()
         run_mlmc(model, _plan(StrategyId.S1, M), 0, workers=workers)
@@ -264,7 +342,7 @@ def test_more_workers_than_cores_fill_every_sample(tmp_path):
     assert logs[0].read_bytes() == logs[1].read_bytes()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_each_level_of_a_chunk_is_one_batch_call(workers):
     class BatchRecorder(TwoScaleModel):
         def __init__(self):
@@ -285,7 +363,7 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
         sizes = _chunks(count)
         coarse = (2, 100, int(seeds[count]))
         expect = {
-            (lv, size, int(seeds[i * CHUNK])) for i, size in enumerate(sizes) for lv in (1, 2)
+            (lv, size, int(seeds[i])) for i, size in zip(_starts(count), sizes) for lv in (1, 2)
         } | {coarse}
         assert len(model.batches) == len(expect)
         assert set(model.batches) == expect
@@ -548,30 +626,74 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
     assert failure(raises=[first], nans=[later]) == first
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, None])
+def test_two_failures_name_the_same_level_and_seed_at_any_worker_count(workers):
+    class TwoFailures(TwoScaleModel):
+        """NaN at the ``nan`` (level, seed); raises at the ``raises`` one."""
+
+        def __init__(self, nan, raises):
+            super().__init__()
+            self.nan, self.raises = nan, raises
+
+        def evaluate_many(self, level, seeds):
+            out = super().evaluate_many(level, seeds)
+            if level == self.raises[0] and (seeds == np.uint64(self.raises[1])).any():
+                raise RuntimeError("solver diverged")
+            out[(seeds == np.uint64(self.nan[1])) & (level == self.nan[0])] = math.nan
+            return out
+
+    # In the pilot, a NaN at level 3 of chunk 2 and a raise at level 1 of chunk 5.
+    pilot_base = executor.mix64_int(5 ^ executor._PILOT_SALT)
+    seeds = counter_seeds(pilot_base, 0, 4096)
+    starts = _starts(4096)
+    nan, raises = (3, int(seeds[starts[2] + 17])), (1, int(seeds[starts[5] + 4]))
+    with pytest.raises(ModelEvaluationError) as exc:
+        pilot_estimate_parameters(TwoFailures(nan, raises), 4096, 5, workers=workers)
+    assert (exc.value.level, exc.value.seed) == nan
+    # In a run's first term, a NaN at level 2 of chunk 3 and a raise at
+    # level 1 of chunk 6.
+    seeds = counter_seeds(5, 0, SPAN)
+    starts = _starts(SPAN)
+    nan, raises = (2, int(seeds[starts[3] + 9])), (1, int(seeds[starts[6]]))
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(TwoFailures(nan, raises), _plan(StrategyId.S2, (SPAN, 10)), 5, workers=workers)
+    assert (exc.value.level, exc.value.seed) == nan
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4, None])
 def test_a_slow_early_failure_wins_over_a_fast_later_one(workers):
     seeds = counter_seeds(0, 0, SPAN)
-    slow, fast = (2, int(seeds[5])), (1, int(seeds[2 * CHUNK + 3]))
+    slow, fast = (2, int(seeds[5])), (1, int(seeds[_starts(SPAN)[-1] + 3]))
 
     class SlowThenFast(TwoScaleModel):
-        """Chunk 0 fails at level 2 after a pause; chunk 2 fails at level 1 at once."""
+        """Chunk 0 fails at level 2 after a pause; the last chunk fails at level 1 at once."""
+
+        def __init__(self):
+            super().__init__()
+            self.paused = 0
 
         def evaluate_many(self, level, seeds):
             for lv, seed in (slow, fast):
                 if lv == level and (seeds == np.uint64(seed)).any():
-                    if (lv, seed) == slow and len(seeds) == CHUNK:
+                    if (lv, seed) == slow and len(seeds) == _chunks(SPAN)[0]:
+                        self.paused += 1
                         time.sleep(0.3)
                     raise RuntimeError("solver diverged")
             return super().evaluate_many(level, seeds)
 
+    model = SlowThenFast()
     with pytest.raises(ModelEvaluationError) as exc:
-        run_mlmc(SlowThenFast(), _plan(StrategyId.S2, (SPAN, 10)), 0, workers=workers)
+        run_mlmc(model, _plan(StrategyId.S2, (SPAN, 10)), 0, workers=workers)
     assert (exc.value.level, exc.value.seed) == slow
+    assert model.paused == 1  # chunk 0's whole batch, not a half of it
 
 
 def test_a_failure_stops_handing_out_chunks():
-    seeds = counter_seeds(0, 0, 10 * CHUNK)
+    count = 10 * CHUNK
+    seeds = counter_seeds(0, 0, count)
     bad_seed = int(seeds[1])
+    size = _chunks(count)[0]
+    assert _chunks(count) == [size] * 10  # every chunk after chunk 0 pauses
 
     class FailFirst(TwoScaleModel):
         """Fails in chunk 0 at once; every other chunk takes a while."""
@@ -585,7 +707,7 @@ def test_a_failure_stops_handing_out_chunks():
             self.calls += 1
             if (seeds == np.uint64(bad_seed)).any():
                 raise RuntimeError("solver diverged")
-            if len(seeds) == CHUNK:
+            if len(seeds) == size:
                 self.later_chunks += 1
                 time.sleep(0.1)
             return super().evaluate_many(level, seeds)
@@ -593,17 +715,21 @@ def test_a_failure_stops_handing_out_chunks():
     for workers in (1, 2):
         model = FailFirst()
         with pytest.raises(ModelEvaluationError) as exc:
-            run_classical_mc(model, 1, 10 * CHUNK, 0, workers=workers)
+            run_classical_mc(model, 1, count, 0, workers=workers)
         assert (exc.value.level, exc.value.seed) == (1, bad_seed)
         # Serially no chunk after chunk 0 starts.  Next to it the helper
         # finishes the one chunk it holds, or two if it was quicker, and
         # takes no more.
         assert model.later_chunks <= (0 if workers == 1 else 2)
-        assert model.calls <= 2 * math.ceil(math.log2(CHUNK)) + 1 + model.later_chunks
+        assert model.calls <= 2 * math.ceil(math.log2(size)) + 1 + model.later_chunks
 
 
 @pytest.mark.parametrize("where", [0, CHUNK // 2, CHUNK - 1])
 def test_a_raised_failure_is_located_in_log_chunk_calls(where):
+    # A term of _SPLIT full chunks; serially, no chunk after the first starts.
+    count = executor._SPLIT * CHUNK
+    assert _chunks(count)[0] == CHUNK
+
     class CountingPoison(TwoScaleModel):
         """Raises for one seed, counting every call and every seed evaluated."""
 
@@ -622,7 +748,7 @@ def test_a_raised_failure_is_located_in_log_chunk_calls(where):
     bad_seed = int(counter_seeds(0, where, 1)[0])
     model = CountingPoison(bad_seed)
     with pytest.raises(ModelEvaluationError) as exc:
-        run_classical_mc(model, 1, CHUNK, 0)
+        run_classical_mc(model, 1, count, 0, workers=1)
     assert (exc.value.level, exc.value.seed) == (1, bad_seed)
     assert model.calls <= 2 * math.ceil(math.log2(CHUNK)) + 1
     assert model.seeds <= 3 * CHUNK

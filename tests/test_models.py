@@ -136,6 +136,17 @@ def test_spec_validation_and_round_trip():
     assert TopographySpec(**{"H": 250.0, "k_range": [2, 6]}) == spec
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [(f, b) for f in ("H", "Lx", "Ly") for b in (math.nan, math.inf, -math.inf, True, "5")]
+    + [(f, (lo, hi)) for f in ("k_range", "l_range") for lo, hi in ((4, math.inf), (True, 4))],
+)
+def test_topography_spec_rejects_non_finite_and_boolean_values(field, bad):
+    # H=nan passed "H < 0", Lx=inf passed "Lx > 0", and True counted as 1.
+    with pytest.raises(ValueError, match=field):
+        TopographySpec(**{field: bad})
+
+
 def test_csv_dump(tmp_path):
     spec = TopographySpec()
     sample = sample_topography(spec, 3)
@@ -307,6 +318,13 @@ def test_burgers_spec_validation():
         BurgersSpec(forcing=TopographySpec(H=1.0, Lx=2.0, Ly=1.0))
     forcing = {"H": 5.0, "Lx": 1.0, "Ly": 1.0, "k_range": [2, 6], "l_range": [4, 20]}
     assert BurgersSpec.from_json_dict({"forcing": forcing}) == spec
+
+
+@pytest.mark.parametrize("field", ["viscosity", "domain_length", "time_horizon"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+def test_burgers_spec_rejects_non_finite_and_boolean_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        BurgersSpec(**{field: bad})
 
 
 def test_burgers_forcing_profile_matches_direct_sum():

@@ -162,9 +162,19 @@ def test_max_levels_cap_pumps_coarse_term():
 
 def test_max_levels_validation():
     # The classical plan has no ladder to cap, but rejects a bad cap too.
+    # 2.5 reached range() in S1 as a TypeError, and True became L=True.
     for strategy in StrategyId:
-        with pytest.raises(ValueError):
-            plan_for_strategy(strategy, BENCH, max_levels=0)
+        for bad in (0, 2.5, True, "3", float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="max_levels"):
+                plan_for_strategy(strategy, BENCH, max_levels=bad)
+        assert plan_for_strategy(strategy, BENCH, max_levels=10.0) == plan_for_strategy(
+            strategy, BENCH, max_levels=10
+        )
+    # A cap that sets L outright is stored as an int.
+    p = SolutionParameters(delta=1e5, e=1.0, alpha=0.01)
+    capped = plan_for_strategy("S4", p, max_levels=4.0)
+    assert capped == plan_for_strategy("S4", p, max_levels=4)
+    assert type(capped.L) is int
 
 
 def test_strategy4_scan_exhaustion():
