@@ -19,10 +19,17 @@ def _whole(name, value, low, high):
     return int(value)
 
 
-def _finite(name, value):
-    """Reject ``value`` unless it is a finite real number (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def _finite(name, value, positive=False):
+    """Reject ``value`` unless it is a finite real number (a bool is not one),
+    and above zero if ``positive``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or (positive and not value > 0)
+    ):
+        rule = "> 0 and finite" if positive else "a finite number"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _check_base_seed(base_seed):

@@ -145,7 +145,8 @@ class RunConfig:
                 raise _UsageError(f"{key} must be a path, got {getattr(self, key)!r}")
 
 
-def _load_config(path):
+def _load_config(path, overrides):
+    """The config at ``path``, its entries replaced by the flags that are set."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -153,6 +154,8 @@ def _load_config(path):
         raise _UsageError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config {path} is not valid JSON: {exc}")
+    if isinstance(raw, dict):
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     return RunConfig.from_json_dict(raw)
 
 
@@ -197,12 +200,7 @@ def cmd_plan(args):
 # ---------------------------------------------------------------------------
 
 def cmd_pilot(args):
-    cfg = _load_config(args.config)
-    if args.samples is not None:
-        cfg.pilot_samples = args.samples
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    cfg.validate()
+    cfg = _load_config(args.config, {"pilot_samples": args.samples, "base_seed": args.seed})
     model = model_from_config(cfg.model)
     params = pilot_estimate_parameters(
         model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
@@ -243,21 +241,16 @@ def _resolve_plan(cfg, model):
 
 
 def cmd_run(args):
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.strategy is not None:
-        cfg.strategy = args.strategy
-    if args.out is not None:
-        cfg.out = args.out
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if args.log_samples:
-        cfg.log_samples = True
-    if args.sample_log is not None:
-        cfg.sample_log = args.sample_log
-        cfg.log_samples = True
-    cfg.validate()
+    overrides = {
+        "base_seed": args.seed,
+        "strategy": args.strategy,
+        "out": args.out,
+        "workers": args.workers,
+        "sample_log": args.sample_log,
+    }
+    if args.log_samples or args.sample_log is not None:
+        overrides["log_samples"] = True
+    cfg = _load_config(args.config, overrides)
     model = model_from_config(cfg.model)
 
     log_path = cfg.sample_log if cfg.log_samples else None

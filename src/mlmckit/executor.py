@@ -40,10 +40,10 @@ one worker).  Cutting every term into up to eight chunks, where fixed
 median ``pipeline_s`` from 0.172 to 0.146 s (ten alternating 50 s pairs,
 all ten won; traced, the pilot went from 34 to 18.5 ms).  TwoScale gains
 less from a second worker: ``twoscale_cli``'s 7-level S3 ``run_mlmc``
-took 26-30 ms at one worker and 22-24 ms at two, because each term's
-statistics (three exact sums, about 9 ms per run) run on the calling
-thread after the term, while only the draws (``normal_lanes``, about
-15 ms per run on one thread) are shared.
+took 21.0-21.5 ms at one worker and 14.7-15.5 ms at two, because each
+term's statistics (three exact sums, about 3 ms per run) run on the
+calling thread after the term, while only the draws (``normal_lanes``,
+about 15 ms per run on one thread) are shared.
 
 Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk

@@ -39,12 +39,11 @@ class TopographySpec:
     l_range: tuple = (4, 20)
 
     def __post_init__(self):
-        for name in ("H", "Lx", "Ly"):
-            _finite(name, getattr(self, name))
+        _finite("H", self.H)
         if self.H < 0:
             raise ValueError(f"H must be >= 0, got {self.H}")
-        if not self.Lx > 0 or not self.Ly > 0:
-            raise ValueError(f"Lx and Ly must be positive, got {self.Lx}, {self.Ly}")
+        for name in ("Lx", "Ly"):
+            _finite(name, getattr(self, name), positive=True)
         for name in ("k_range", "l_range"):
             lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
             if hi < lo:
@@ -159,16 +158,12 @@ class GBMSpec:
     max_level: int = 4
 
     def __post_init__(self):
-        # Each check fails for NaN and inf too, which would only surface
-        # as a failed evaluation at run time.
-        if not 0 < self.S0 < math.inf:
-            raise ValueError(f"S0 must be positive and finite, got {self.S0}")
-        if not math.isfinite(self.r_drift):
-            raise ValueError(f"r_drift must be finite, got {self.r_drift}")
-        if not 0 <= self.vol < math.inf:
-            raise ValueError(f"vol must be >= 0 and finite, got {self.vol}")
-        if not 0 < self.T < math.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        for name in ("S0", "T"):
+            _finite(name, getattr(self, name), positive=True)
+        for name in ("r_drift", "vol"):
+            _finite(name, getattr(self, name))
+        if self.vol < 0:
+            raise ValueError(f"vol must be >= 0, got {self.vol}")
         for name in ("steps_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         halvings = 2 ** (self.max_level - 1)
@@ -283,13 +278,7 @@ class BurgersSpec:
 
     def __post_init__(self):
         for name in ("viscosity", "domain_length", "time_horizon"):
-            _finite(name, getattr(self, name))
-        if not self.viscosity > 0:
-            raise ValueError(f"viscosity must be positive, got {self.viscosity}")
-        if not self.domain_length > 0:
-            raise ValueError(f"domain_length must be positive, got {self.domain_length}")
-        if not self.time_horizon > 0:
-            raise ValueError(f"time_horizon must be positive, got {self.time_horizon}")
+            _finite(name, getattr(self, name), positive=True)
         for name in ("cells_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         if self.forcing is None:
@@ -449,11 +438,8 @@ class TwoScaleModel(QoIModel):
 
     def __init__(self, max_level=16, alpha=1.0, amp=0.5):
         self.max_level = _whole("max_level", max_level, 1, None)
-        # NaN and inf fail these checks too.
-        if not 0 < alpha < math.inf:
-            raise ValueError(f"alpha must be > 0 and finite, got {alpha}")
-        if not 0 < amp < math.inf:
-            raise ValueError(f"amp must be > 0 and finite, got {amp}")
+        _finite("alpha", alpha, positive=True)
+        _finite("amp", amp, positive=True)
         self.alpha = float(alpha)
         self.amp = float(amp)
 

@@ -2,16 +2,17 @@
 
 Every sum is correctly rounded, equal to ``math.fsum`` bit for bit, so
 results are bit-reproducible no matter how the samples were produced or
-scheduled.  Samples are summed straight from a float64 array by an exact
-sum indexed by binary exponent (:func:`_fsum`).  Arrays of fewer than 1024
-values (where ``math.fsum`` is faster) or of 2**26 or more, arrays whose
-sum could overflow or that hold an inf or NaN, and sums that are exactly
-zero go to ``math.fsum`` itself, which gives the same value or error (and
-the interpreter's sign of zero).  Squared deviations are IEEE products
-(``d * d``) rather than libm ``pow``, so variance bytes do not depend on
-the platform's libm; a variance can differ from a ``(x - m) ** 2`` sum in
-its last bit.  Means, and so estimates, involve no squares and are
-unaffected.
+scheduled.  Samples are summed straight from a float64 array
+(:func:`_fsum`): each block of values is split by two vectorized
+extraction steps into two exact sums and a few remainders, and
+``math.fsum`` rounds those parts once.  Arrays of fewer than 1024 values
+(where ``math.fsum`` is faster), arrays whose sum could overflow or that
+hold an inf or NaN, and sums that are exactly zero go to ``math.fsum``
+itself, which gives the same value or error (and the interpreter's sign
+of zero).  Squared deviations are IEEE products (``d * d``) rather than
+libm ``pow``, so variance bytes do not depend on the platform's libm; a
+variance can differ from a ``(x - m) ** 2`` sum in its last bit.  Means,
+and so estimates, involve no squares and are unaffected.
 """
 
 import math
@@ -110,55 +111,48 @@ def _values(s):
     return np.ascontiguousarray(s, dtype=float).ravel()
 
 
-# A float64 is m * 2**e with 0.5 <= |m| < 1 and -1073 <= e <= 1024 (frexp).
-# Splitting m * 2**27 into a whole part (|hi| < 2**27) and a fraction that
-# is a multiple of 2**-26 makes every per-exponent bucket sum of fewer than
-# 2**26 values an exact float64; Python ints then add the buckets exactly.
-_EXP_BIAS = 1074
-_BUCKETS = 2099
-_SUM_BLOCK = 8192
-# Below this size fsum itself is faster than the bucket set-up.
+# Rump, Ogita and Oishi's extraction ("Accurate floating-point summation,
+# part I", SIAM J. Sci. Comput. 31, 2008).  For a normal power of two sigma
+# and |p| <= sigma * 2**-_M, q = (sigma + p) - sigma is p rounded to a
+# multiple of sigma * 2**-53, and p - q is its exact remainder, at most
+# sigma * 2**-53.  A sum of at most 2**_M such q is a multiple of
+# sigma * 2**-53 no larger than sigma, so a float: a block's q add up
+# exactly in any order.
+_SUM_BLOCK = 16384
+_M = (_SUM_BLOCK + 1).bit_length()
+# Below this size fsum itself is faster than the extraction.
 _SMALL_SUM = 1024
 
 
 def _fsum(v):
     """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized."""
     n = v.size
-    # Small arrays, inf, NaN, partial sums that could overflow, or bucket sums
-    # that could lose bits: leave those to fsum, which gives the same value
-    # or error.
-    if n < _SMALL_SUM or n >= 1 << 26 or not float(max(v.max(), -v.min())) * n < 2.0**1020:
+    # Small arrays, inf, NaN, and sums (or a sigma) that could overflow:
+    # leave those to fsum, which gives the same value or error.
+    if n < _SMALL_SUM or not float(max(v.max(), -v.min())) * max(n, 1 << _M) < 2.0**1020:
         return math.fsum(memoryview(v))
     b = min(n, _SUM_BLOCK)
-    m = np.empty(b)
-    hi = np.empty(b)
-    e = np.empty(b, dtype=np.intp)
-    acc_hi = np.zeros(_BUCKETS)
-    acc_lo = np.zeros(_BUCKETS)
+    p, q = np.empty(b), np.empty(b)
+    # Exact parts whose sum is the exact sum of v: two extracted sums per
+    # block, then the block's nonzero remainders.
+    parts = []
     for i in range(0, n, b):
-        blk = v[i : i + b]
-        k = blk.size
-        mk, hk, ek = m[:k], hi[:k], e[:k]
-        np.frexp(blk, out=(mk, ek))
-        mk *= 2.0**27
-        np.trunc(mk, out=hk)
-        mk -= hk
-        ek += _EXP_BIAS
-        acc_hi += np.bincount(ek, weights=hk, minlength=_BUCKETS)
-        acc_lo += np.bincount(ek, weights=mk, minlength=_BUCKETS)
-    # In units of 2**-1127, bucket j holds lo * 2**j and hi * 2**(j + 26).
-    acc_lo *= 2.0**26
-    c = np.zeros(_BUCKETS + 26, dtype=np.int64)
-    c[:_BUCKETS] = acc_lo
-    c[26:] += acc_hi.astype(np.int64)
-    nz = np.flatnonzero(c)
-    total = 0
-    for j, cj in zip(nz.tolist(), c[nz].tolist()):
-        total += cj << j
-    if total == 0:
-        return math.fsum(memoryview(v))
-    # int / int rounds half to even, as fsum does.
-    return total / (1 << 1127)
+        rest = blk = v[i : i + b]
+        pk, qk = p[: blk.size], q[: blk.size]
+        sigma = 2.0 ** (_M + math.frexp(float(max(blk.max(), -blk.min())))[1])
+        for _ in range(2):
+            # The argument needs sigma * 2**-53 to be a normal float.
+            if sigma < 2.0**-969:
+                break
+            np.add(rest, sigma, out=qk)
+            qk -= sigma
+            np.subtract(rest, qk, out=pk)
+            parts.append(float(qk.sum()))
+            rest, sigma = pk, sigma * 2.0 ** (_M - 53)
+        parts.extend(rest[rest != 0].tolist())
+    total = math.fsum(parts)
+    # An exact zero takes the interpreter's sign of zero.
+    return total if total else math.fsum(memoryview(v))
 
 
 def mc_mean(s):

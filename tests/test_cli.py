@@ -156,7 +156,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
         {"kind": "gbm", "spec": {"max_level": 3.5}},
         {"kind": "gbm", "spec": {"vol": float("nan")}},
         {"kind": "gbm", "spec": {"r_drift": float("inf")}},
+        {"kind": "gbm", "spec": {"vol": True}},
         {"kind": "two_scale", "spec": {"alpha": float("nan")}},
+        {"kind": "two_scale", "spec": {"amp": True}},
         {"kind": "two_scale", "spec": {"max_lvl": 4}},
         {"kind": "burgers", "spec": {"forcing": {"Lx": 1.0, "HH": 1.0, "k_rnage": [1, 2]}}},
         {"kind": "burgers", "spec": {"forcing": {"H": "5", "Lx": 1.0, "Ly": 1.0}}},
@@ -171,7 +173,9 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, 
         "gbm_max_level",
         "gbm_vol",
         "gbm_r_drift",
+        "gbm_vol_bool",
         "two_scale_alpha",
+        "two_scale_amp_bool",
         "two_scale_unknown_key",
         "burgers_forcing_unknown_key",
         "burgers_forcing_string",
@@ -200,8 +204,48 @@ def test_pilot_bad_config_exits_2(tmp_path, capsys):
     assert main(["pilot", "--config", str(cfg)]) == 2
     _write(cfg, {"model": {"kind": "two_scale"}, "bogus_key": 1})
     assert main(["pilot", "--config", str(cfg)]) == 2
+    _write(cfg, {"model": {"kind": "gbm", "spec": {"vol": True}}})  # ran as vol = 1
+    assert main(["pilot", "--config", str(cfg), "--out", str(tmp_path / "p.json")]) == 2
     assert main(["pilot", "--config", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--seed", "-1"],
+        ["run", "--workers", "0"],
+        ["pilot", "--samples", "1"],
+        ["pilot", "--seed", "-3"],
+    ],
+)
+def test_flag_values_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1"})
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["pilot", "run"])
+def test_a_command_parses_its_config_once(tmp_path, monkeypatch, command):
+    # The config's model was built to validate it, again to validate the
+    # flag overrides, and once more to run.
+    from mlmckit import cli
+
+    build, built = cli.model_from_config, []
+
+    def spy(d):
+        built.append(d)
+        return build(d)
+
+    monkeypatch.setattr(cli, "model_from_config", spy)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", "pilot_samples": 64})
+    assert main([command, "--config", str(cfg), "--seed", "3"]) == 0
+    # Once to validate the config, once to run.
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -522,8 +522,8 @@ def test_two_scale_parameters_are_whole_and_finite():
             TwoScaleModel(max_level=bad)
     m = TwoScaleModel(max_level=4.0)
     assert m.max_level == 4 and type(m.max_level) is int
-    # NaN and inf failed only when a run evaluated them.
-    for bad in (math.nan, math.inf, -math.inf):
+    # NaN and inf failed only when a run evaluated them; True ran as 1.0.
+    for bad in (math.nan, math.inf, -math.inf, True):
         with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
             TwoScaleModel(alpha=bad)
         with pytest.raises(ValueError, match="amp must be > 0 and finite"):
@@ -535,6 +535,8 @@ def test_gbm_spec_rejects_values_that_are_not_finite():
         ("vol", math.nan), ("vol", math.inf), ("r_drift", math.inf),
         ("r_drift", -math.inf), ("r_drift", math.nan), ("S0", math.inf),
         ("S0", math.nan), ("T", math.inf), ("T", math.nan),
+        # True counted as 1 and False as 0.
+        ("S0", True), ("r_drift", True), ("vol", True), ("vol", False), ("T", True),
     ):
         with pytest.raises(ValueError, match=f"{name} must be"):
             GBMSpec(**{name: bad})

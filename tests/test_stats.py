@@ -127,8 +127,11 @@ def test_mean_between_extremes(values):
 
 # One value; one short of the small-array cut-off, exactly at it and one
 # over; one short of a kernel block, exactly one and one over; several
-# blocks with a partial last one.
-SUM_SIZES = [1, 1023, 1024, 1025, 8191, 8192, 8193, 3 * 8192 + 17]
+# blocks with a partial last one; the same around half a block.
+SUM_SIZES = [
+    1, 1023, 1024, 1025, 16383, 16384, 16385, 3 * 16384 + 17,
+    8191, 8192, 8193, 3 * 8192 + 17,
+]
 
 any_float = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),  # full range, ±0 included
@@ -176,6 +179,16 @@ def _fsum_outcome(fn, v):
 @example(np.array([-0.0]))
 @example(np.array([-0.0, -0.0, 0.0]))
 @example(np.array([5e-324, -5e-324, 5e-324]))
+# Bits left over after both extractions, beside 1.0.
+@example(np.array([1.0, math.pi * 2.0**-90, -math.e * 2.0**-91, 2.0**-53]))
+# Full-width values of one sign, whose block sums use all of the headroom.
+@example(1.0 + np.random.default_rng(0).random(3 * 16384 + 17))
+# Values too large for a block's sigma, though their sum is not.
+@example(np.full(1024, 2.0**1009))
+# A block whose values are all subnormal, so neither extraction runs.
+@example(np.arange(-1500, 1999) * 5e-324)
+# A block where only the first extraction runs, with subnormals left over.
+@example(np.array([2.0**-960, 3 * 5e-324, -5e-324]))
 def test_fsum_equals_math_fsum_bit_for_bit(v):
     expect = _fsum_outcome(math.fsum, memoryview(v).tolist())
     assert _fsum_outcome(_fsum, v) == expect
