@@ -174,9 +174,7 @@ class GBMSpec:
             )
 
     def steps_at_level(self, level):
-        if not 1 <= level <= self.max_level:
-            raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
-        return self.steps_at_finest >> (level - 1)
+        return self.steps_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
 
     @property
     def exact_mean(self):
@@ -192,14 +190,14 @@ def _increments(spec, level, seeds, fine, half):
 
     All fine increments are drawn into ``fine``, an (n, B) float64 array,
     then summed pairwise down, alternating between ``half`` (n/2, B) and the
-    head of ``fine``; the result is a view of one of the two.  ``level``
-    must be one of the spec's levels.
+    head of ``fine``; the result is a view of one of the two.  A level the
+    spec does not have raises ValueError.
     """
-    n = spec.steps_at_finest
+    n, n_level = spec.steps_at_finest, spec.steps_at_level(level)
     dW, spare = fine, half
     normal_lanes(seeds, n, out=dW.T)
     dW *= math.sqrt(spec.T / n)
-    for _ in range(level - 1):
+    while dW.shape[0] > n_level:
         coarse = spare[: dW.shape[0] // 2]
         np.add(dW[0::2], dW[1::2], out=coarse)
         dW, spare = coarse, dW
@@ -310,9 +308,7 @@ class BurgersSpec:
             )
 
     def cells_at_level(self, level):
-        if not 1 <= level <= self.max_level:
-            raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
-        return self.cells_at_finest >> (level - 1)
+        return self.cells_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
 
     @classmethod
     def from_json_dict(cls, d):
@@ -447,8 +443,7 @@ class TwoScaleModel(QoIModel):
         return self.amp * 2.0 ** (self.alpha * (level - 1))
 
     def evaluate_many(self, level, seeds):
-        if not 1 <= level <= self.max_level:
-            raise ValueError(f"level must be within 1..{self.max_level}, got {level}")
+        level = _whole("level", level, 1, self.max_level)
         lanes = _two_normals(np.asarray(seeds, dtype=np.uint64).ravel())
         out = np.multiply(lanes[:, 1], self._scale(level))
         out += lanes[:, 0]

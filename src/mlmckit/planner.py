@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from ._checks import _whole
+from ._checks import _finite, _whole
 from .stats import SolutionParameters, total_samples_per_level
 
 
@@ -273,87 +273,46 @@ def classify_cost_regime(strategy, alpha, sigma=1.0):
     """Asymptotic total-cost cell for a strategy at the given exponents.
 
     The multilevel strategies switch regime at alpha = 3/2 (strategy 2 at
-    alpha = 1/2); the classical baseline is polynomial for every alpha.
-    Strategy 3 has no linear cell: even its small-alpha regime carries a
-    polylog factor.
+    alpha = 1/2): linear below the switch, quasilinear at it and polynomial
+    above it, each times its power of (log delta + log N).  Strategy 3 has
+    no linear cell: even its small-alpha regime carries a polylog factor.
+    The classical baseline is polynomial for every alpha.
     """
     strategy = StrategyId(strategy)
+    _finite("alpha", alpha)
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _finite("sigma", sigma, positive=True)
 
     def g(x):
         return format(x, ".4g")
 
-    n_poly = _polynomial_n_exponent(strategy, alpha)
-
+    n_poly = f"N^{g(_polynomial_n_exponent(strategy, alpha))}"
     if strategy is StrategyId.CLASSICAL_MC:
-        return CostRegime(
-            Growth.POLYNOMIAL, "all alpha", f"O(delta^2 * N^{g(n_poly)})"
-        )
+        return CostRegime(Growth.POLYNOMIAL, "all alpha", f"O(delta^2 * {n_poly})")
+    w, v = 2.0 * (1.0 + sigma), 2.0 * sigma + 3.0
+    # Per strategy: the switch alpha and its label, the offset k of the delta
+    # exponent 2 (alpha - switch) / (alpha + k) above the switch, and the
+    # powers of (log delta + log N) below, at and above it (0: no log factor).
+    switch, label, k, (below, at, above) = {
+        StrategyId.S1: (1.5, "3/2", 0.0, (0, 1, 0)),
+        StrategyId.S2: (0.5, "1/2", 1.0, (0, 1, 0)),
+        StrategyId.S3: (1.5, "3/2", 0.0, (w, v, w)),
+        StrategyId.S4: (1.5, "3/2", 0.0, (0, v, w)),
+    }[strategy]
 
-    if strategy is StrategyId.S2:
-        if alpha < 0.5:
-            return CostRegime(Growth.LINEAR, "alpha < 1/2", "O(N)")
-        if alpha == 0.5:
-            return CostRegime(
-                Growth.QUASILINEAR, "alpha = 1/2", "O(N * (log delta + log N))"
-            )
-        d_exp = (2.0 * alpha - 1.0) / (alpha + 1.0)
-        return CostRegime(
-            Growth.POLYNOMIAL,
-            "alpha > 1/2",
-            f"O(delta^{g(d_exp)} * N^{g(n_poly)})",
-        )
+    def logs(power):
+        return "(log delta + log N)" + ("" if power == 1 else f"^{g(power)}")
 
-    # S1, S3, S4: switch at alpha = 3/2.
-    d_exp = (2.0 * alpha - 3.0) / alpha if alpha > 0 else None
-    if strategy is StrategyId.S1:
-        if alpha < 1.5:
-            return CostRegime(Growth.LINEAR, "alpha < 3/2", "O(N)")
-        if alpha == 1.5:
-            return CostRegime(
-                Growth.QUASILINEAR, "alpha = 3/2", "O(N * (log delta + log N))"
-            )
+    if alpha > switch:
+        factors = [logs(above)] if above else []
+        factors += [f"delta^{g(2.0 * (alpha - switch) / (alpha + k))}", n_poly]
         return CostRegime(
-            Growth.POLYNOMIAL,
-            "alpha > 3/2",
-            f"O(delta^{g(d_exp)} * N^{g(n_poly)})",
+            Growth.POLYNOMIAL, f"alpha > {label}", f"O({' * '.join(factors)})"
         )
-
-    if strategy is StrategyId.S3:
-        if alpha < 1.5:
-            return CostRegime(
-                Growth.QUASILINEAR,
-                "alpha < 3/2",
-                f"O(N * (log delta + log N)^{g(2.0 * (1.0 + sigma))})",
-            )
-        if alpha == 1.5:
-            return CostRegime(
-                Growth.QUASILINEAR,
-                "alpha = 3/2",
-                f"O(N * (log delta + log N)^{g(2.0 * sigma + 3.0)})",
-            )
-        return CostRegime(
-            Growth.POLYNOMIAL,
-            "alpha > 3/2",
-            f"O((log delta + log N)^{g(2.0 * (1.0 + sigma))} "
-            f"* delta^{g(d_exp)} * N^{g(n_poly)})",
-        )
-
-    # S4
-    if alpha < 1.5:
-        return CostRegime(Growth.LINEAR, "alpha < 3/2", "O(N)")
-    if alpha == 1.5:
-        return CostRegime(
-            Growth.QUASILINEAR,
-            "alpha = 3/2",
-            f"O(N * (log delta + log N)^{g(2.0 * sigma + 3.0)})",
-        )
+    power, relation = (below, "<") if alpha < switch else (at, "=")
     return CostRegime(
-        Growth.POLYNOMIAL,
-        "alpha > 3/2",
-        f"O((log delta + log N)^{g(2.0 * (1.0 + sigma))} "
-        f"* delta^{g(d_exp)} * N^{g(n_poly)})",
+        Growth.QUASILINEAR if power else Growth.LINEAR,
+        f"alpha {relation} {label}",
+        f"O(N * {logs(power)})" if power else "O(N)",
     )

@@ -12,6 +12,13 @@ def _write(path, obj):
     path.write_text(json.dumps(obj, indent=2) + "\n")
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # The default output paths are relative, so a command given no --out
+    # writes into the test's own directory, never into the checkout.
+    monkeypatch.chdir(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
@@ -141,8 +148,7 @@ def test_pilot_degenerate_model_exits_3(tmp_path, capsys):
         {"sample_log": 7, "log_samples": True},
     ],
 )
-def test_malformed_config_value_exits_2(tmp_path, capsys, monkeypatch, command, entry):
-    monkeypatch.chdir(tmp_path)  # the default output paths are relative
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", **entry})
     assert main([command, "--config", str(cfg)]) == 2
@@ -219,8 +225,7 @@ def test_pilot_bad_config_exits_2(tmp_path, capsys):
         ["pilot", "--seed", "-3"],
     ],
 )
-def test_flag_values_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.chdir(tmp_path)
+def test_flag_values_out_of_range_exit_2(tmp_path, capsys, argv):
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1"})
     assert main([*argv, "--config", str(cfg)]) == 2
@@ -240,7 +245,6 @@ def test_a_command_parses_its_config_once(tmp_path, monkeypatch, command):
         return build(d)
 
     monkeypatch.setattr(cli, "model_from_config", spy)
-    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", "pilot_samples": 64})
     assert main([command, "--config", str(cfg), "--seed", "3"]) == 0

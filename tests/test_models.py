@@ -578,10 +578,12 @@ def test_model_batch_contract(name, monkeypatch):
         assert model.evaluate_many(level, []).shape == (0,)
         assert np.array_equal(model.evaluate_many(level, seeds[:5].tolist()), batch[:5])
         batches[level] = batch
-    for level in (0, model.max_level + 1):
+    for level in (0, model.max_level + 1, True, 2.5, "2"):
         for bad in (seeds[:1], []):
             with pytest.raises(ValueError):
                 model.evaluate_many(level, bad)
+    # A whole-number float is its level, as in a config.
+    assert model.evaluate_many(2.0, seeds).tobytes() == batches[2].tobytes()
     # Small tiles (one GBM seed, 3 or 6 Burgers seeds, 50 TwoScale seeds)
     # cross many tile boundaries and give the same bits.
     monkeypatch.setattr(_bits, "_TILE", 100)

@@ -360,3 +360,144 @@ def test_regime_validation():
         classify_cost_regime("S1", -0.1)
     with pytest.raises(ValueError):
         classify_cost_regime("S3", 1.0, sigma=0.0)
+    # Every strategy rejects an alpha or sigma that is not a finite real
+    # number; a bool is not taken as 1.
+    for strategy in StrategyId:
+        for alpha in (math.nan, math.inf, -math.inf, True, "1.5", None):
+            with pytest.raises(ValueError, match="alpha must be"):
+                classify_cost_regime(strategy, alpha)
+        for sigma in (math.nan, math.inf, True, -1.0, "2", None):
+            with pytest.raises(ValueError, match="sigma must be"):
+                classify_cost_regime(strategy, 1.07, sigma=sigma)
+
+
+# (strategy, alpha, sigma, growth, threshold_note, formula): every
+# strategy's cell at six alphas, on both sides of each switch, and two sigmas.
+GOLDEN_REGIMES = [
+    ("ClassicalMC", 0.0, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^1)"),
+    ("ClassicalMC", 0.3, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.2)"),
+    ("ClassicalMC", 0.5, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.333)"),
+    ("ClassicalMC", 1.07, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.713)"),
+    ("ClassicalMC", 1.5, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^2)"),
+    ("ClassicalMC", 2.5, 1.0, "Polynomial", "all alpha",
+     "O(delta^2 * N^2.667)"),
+    ("ClassicalMC", 0.0, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^1)"),
+    ("ClassicalMC", 0.3, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.2)"),
+    ("ClassicalMC", 0.5, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.333)"),
+    ("ClassicalMC", 1.07, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^1.713)"),
+    ("ClassicalMC", 1.5, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^2)"),
+    ("ClassicalMC", 2.5, 2.5, "Polynomial", "all alpha",
+     "O(delta^2 * N^2.667)"),
+    ("S1", 0.0, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 0.3, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 0.5, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 1.07, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 1.5, 1.0, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N))"),
+    ("S1", 2.5, 1.0, "Polynomial", "alpha > 3/2",
+     "O(delta^0.8 * N^1.667)"),
+    ("S1", 0.0, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 0.3, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 0.5, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 1.07, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S1", 1.5, 2.5, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N))"),
+    ("S1", 2.5, 2.5, "Polynomial", "alpha > 3/2",
+     "O(delta^0.8 * N^1.667)"),
+    ("S2", 0.0, 1.0, "Linear", "alpha < 1/2",
+     "O(N)"),
+    ("S2", 0.3, 1.0, "Linear", "alpha < 1/2",
+     "O(N)"),
+    ("S2", 0.5, 1.0, "Quasilinear", "alpha = 1/2",
+     "O(N * (log delta + log N))"),
+    ("S2", 1.07, 1.0, "Polynomial", "alpha > 1/2",
+     "O(delta^0.5507 * N^1.196)"),
+    ("S2", 1.5, 1.0, "Polynomial", "alpha > 1/2",
+     "O(delta^0.8 * N^1.4)"),
+    ("S2", 2.5, 1.0, "Polynomial", "alpha > 1/2",
+     "O(delta^1.143 * N^1.952)"),
+    ("S2", 0.0, 2.5, "Linear", "alpha < 1/2",
+     "O(N)"),
+    ("S2", 0.3, 2.5, "Linear", "alpha < 1/2",
+     "O(N)"),
+    ("S2", 0.5, 2.5, "Quasilinear", "alpha = 1/2",
+     "O(N * (log delta + log N))"),
+    ("S2", 1.07, 2.5, "Polynomial", "alpha > 1/2",
+     "O(delta^0.5507 * N^1.196)"),
+    ("S2", 1.5, 2.5, "Polynomial", "alpha > 1/2",
+     "O(delta^0.8 * N^1.4)"),
+    ("S2", 2.5, 2.5, "Polynomial", "alpha > 1/2",
+     "O(delta^1.143 * N^1.952)"),
+    ("S3", 0.0, 1.0, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^4)"),
+    ("S3", 0.3, 1.0, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^4)"),
+    ("S3", 0.5, 1.0, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^4)"),
+    ("S3", 1.07, 1.0, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^4)"),
+    ("S3", 1.5, 1.0, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N)^5)"),
+    ("S3", 2.5, 1.0, "Polynomial", "alpha > 3/2",
+     "O((log delta + log N)^4 * delta^0.8 * N^1.667)"),
+    ("S3", 0.0, 2.5, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^7)"),
+    ("S3", 0.3, 2.5, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^7)"),
+    ("S3", 0.5, 2.5, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^7)"),
+    ("S3", 1.07, 2.5, "Quasilinear", "alpha < 3/2",
+     "O(N * (log delta + log N)^7)"),
+    ("S3", 1.5, 2.5, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N)^8)"),
+    ("S3", 2.5, 2.5, "Polynomial", "alpha > 3/2",
+     "O((log delta + log N)^7 * delta^0.8 * N^1.667)"),
+    ("S4", 0.0, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 0.3, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 0.5, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 1.07, 1.0, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 1.5, 1.0, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N)^5)"),
+    ("S4", 2.5, 1.0, "Polynomial", "alpha > 3/2",
+     "O((log delta + log N)^4 * delta^0.8 * N^1.667)"),
+    ("S4", 0.0, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 0.3, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 0.5, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 1.07, 2.5, "Linear", "alpha < 3/2",
+     "O(N)"),
+    ("S4", 1.5, 2.5, "Quasilinear", "alpha = 3/2",
+     "O(N * (log delta + log N)^8)"),
+    ("S4", 2.5, 2.5, "Polynomial", "alpha > 3/2",
+     "O((log delta + log N)^7 * delta^0.8 * N^1.667)"),
+]
+
+
+@pytest.mark.parametrize("strategy,alpha,sigma,growth,note,formula", GOLDEN_REGIMES)
+def test_golden_regime_table(strategy, alpha, sigma, growth, note, formula):
+    cell = classify_cost_regime(strategy, alpha, sigma)
+    assert (cell.growth.value, cell.threshold_note, cell.formula) == (growth, note, formula)
