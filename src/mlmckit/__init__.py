@@ -42,7 +42,6 @@ from .stats import (
     estimate_alpha,
     estimate_fine_error,
     mc_mean,
-    total_samples_per_level,
     unbiased_variance,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "run_classical_mc",
     "run_mlmc",
     "sample_topography",
-    "total_samples_per_level",
     "unbiased_variance",
     "write_topography_csv",
     "__version__",

@@ -20,16 +20,17 @@ def _whole(name, value, low, high):
 
 
 def _finite(name, value, positive=False):
-    """Reject ``value`` unless it is a finite real number (a bool is not one),
-    and above zero if ``positive``."""
+    """``value`` as a float; reject it unless it is a finite real number (a
+    bool is not one), and above zero if ``positive``."""
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Real)
         or not math.isfinite(value)
         or (positive and not value > 0)
     ):
-        rule = "> 0 and finite" if positive else "a finite number"
+        rule = "> 0 and finite" if positive else "finite and real"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
 
 
 def _check_base_seed(base_seed):

@@ -69,7 +69,7 @@ import numpy as np
 
 from ._bits import counter_seeds, mix64_int
 from ._checks import _check_base_seed, _check_workers, _whole
-from .planner import LevelPlan, StrategyId, _classical_plan, relative_dof
+from .planner import LevelPlan, StrategyId, _classical_plan, load
 from .stats import (
     LevelTermStats,
     SolutionParameters,
@@ -131,10 +131,6 @@ class QoIModel(ABC):
     @abstractmethod
     def evaluate_many(self, level, seeds):
         """QoI evaluations at ``level`` for the realizations ``seeds``."""
-
-    def cost_hint(self, level):
-        """Relative cost of one solve at ``level`` (finest solve = 1)."""
-        return relative_dof(level)
 
 
 @dataclass(frozen=True)
@@ -336,13 +332,13 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
 
     Term t draws ``plan.M[t-1]`` realizations, the next ones of the counter
     stream, and evaluates each at every level of ``term_levels[t-1]`` (one or
-    two levels); a two-level term's values are the coupled differences.
+    two levels); a two-level term's values are the coupled differences.  The
+    realized load is :func:`~mlmckit.planner.load` of those solves.
     """
     t0 = time.perf_counter()
     stats = []
     seed_ledger = []
     log_terms = []
-    load = 0.0
     start = 0
     helpers = _helpers(workers, max(plan.M))
     with _pool(helpers) as pool:
@@ -355,11 +351,10 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
                 seeds = counter_seeds(base_seed, start, count)
                 log_terms.append((term, seeds, dict(zip(levels, rows))))
             stats.append(_term_stats(term, values))
-            load += count * math.fsum(model.cost_hint(lv) for lv in levels)
             seed_ledger.append(
                 {
                     "term_index": term,
-                    "levels": levels,
+                    "levels": list(levels),
                     "start_index": start,
                     "count": count,
                     "first_seed": int(counter_seeds(base_seed, start, 1)[0]),
@@ -378,7 +373,7 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
         term_stats=term_stats,
         estimate=math.fsum(t.mean for t in term_stats),
         estimated_std_error=_std_error(term_stats),
-        realized_load=load,
+        realized_load=load(plan.M, term_levels),
         wall_time=time.perf_counter() - t0,
         seeds={"base_seed": base_seed, "terms": seed_ledger},
     )
@@ -387,9 +382,10 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
 def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
     """Execute a multilevel plan: coupled difference terms plus coarse term.
 
-    Term l < L draws M[l-1] realizations and evaluates each at levels l and
-    l+1 (same seed — exact coupling); the last term evaluates at level L
-    only.  Realizations are disjoint across terms by the counter scheme.
+    Term t draws M[t-1] realizations and evaluates each at the levels of
+    ``plan.term_levels[t-1]``: levels t and t+1 (same seed — exact coupling),
+    or level L alone for the last term.  Realizations are disjoint across
+    terms by the counter scheme.
 
     ``workers`` threads evaluate the chunks, the calling thread among them:
     None (the default) means the usable CPUs, 1 a serial run without a
@@ -404,8 +400,7 @@ def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
             f"plan has L={plan.L} levels but the model stops at "
             f"max_level={model.max_level}"
         )
-    term_levels = [[l, l + 1] for l in range(1, plan.L)] + [[plan.L]]
-    return _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path)
+    return _run_terms(model, plan, plan.term_levels, base_seed, workers, sample_log_path)
 
 
 def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=None):

@@ -3,8 +3,11 @@
 Four multilevel sizing strategies are provided next to the classical
 single-level baseline.  One function, :func:`plan_for_strategy`, sizes
 each of them from the same :class:`~mlmckit.stats.SolutionParameters` into
-a :class:`LevelPlan` with integer sample counts, the a-priori error-bound
-multiplier, and the relative load in units of one finest-level solve.
+a :class:`LevelPlan` with integer sample counts and the a-priori
+error-bound multiplier.  This module also owns the term ladder
+(:func:`term_levels`) and the cost law (:func:`relative_dof`, summed by
+:func:`load`), from which a plan's relative load and the executor's
+realized load are both computed.
 
 Conventions (fixed):
   * level counts come from a ceiling of the real-valued sizing formula,
@@ -22,7 +25,7 @@ from enum import Enum
 from typing import Optional
 
 from ._checks import _finite, _whole
-from .stats import SolutionParameters, total_samples_per_level
+from .stats import SolutionParameters
 
 
 class StrategyId(str, Enum):
@@ -50,33 +53,46 @@ class CostRegime:
 
 @dataclass(frozen=True)
 class LevelPlan:
-    """A fully sized sampling plan.
+    """A fully sized sampling plan: its strategy, sample counts and bound.
 
-    ``M[l-1]`` is the sample count of term l (term 1 couples the two finest
-    levels; the last term runs alone on the coarsest level).  ``M_total``
-    counts solves per level when adjacent terms share realizations.
-    ``relative_load`` is in units of one finest-level solve.
+    ``M[l-1]`` is the sample count of term l; the levels each term evaluates
+    are :func:`term_levels` of ``L``.  ``L``, ``M_total`` (solves per level,
+    adjacent terms sharing realizations) and ``relative_load`` (in units of
+    one finest-level solve) are computed from ``M``.
     """
 
     strategy: StrategyId
-    L: int
     M: tuple
-    M_total: tuple
     error_bound_multiplier: float
-    relative_load: float
     inputs: Optional[SolutionParameters]
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if len(self.M) != self.L:
-            raise ValueError(f"len(M)={len(self.M)} does not match L={self.L}")
-        if any(int(m) != m or m < 1 for m in self.M):
-            raise ValueError(f"sample counts must be integers >= 1, got {self.M}")
-        object.__setattr__(self, "M", tuple(int(m) for m in self.M))
-        object.__setattr__(self, "M_total", tuple(int(m) for m in self.M_total))
-        if not self.error_bound_multiplier > 0:
-            raise ValueError("error_bound_multiplier must be positive")
+        M = tuple(_whole("M", m, 1, None) for m in self.M)
+        if not M:
+            raise ValueError("a plan needs at least one term")
+        object.__setattr__(self, "M", M)
+        multiplier = _finite("error_bound_multiplier", self.error_bound_multiplier, positive=True)
+        object.__setattr__(self, "error_bound_multiplier", multiplier)
+
+    @property
+    def L(self):
+        return len(self.M)
+
+    @property
+    def term_levels(self):
+        return term_levels(self.L)
+
+    @property
+    def M_total(self):
+        totals = [0] * self.L
+        for count, levels in zip(self.M, self.term_levels):
+            for level in levels:
+                totals[level - 1] += count
+        return tuple(totals)
+
+    @property
+    def relative_load(self):
+        return load(self.M, self.term_levels)
 
     def to_json_dict(self):
         # Field order is part of the file format.
@@ -92,19 +108,24 @@ class LevelPlan:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            strategy=StrategyId(d["strategy"]),
-            L=int(d["L"]),
-            M=tuple(int(m) for m in d["M"]),
-            M_total=tuple(int(m) for m in d["M_total"]),
-            error_bound_multiplier=float(d["error_bound_multiplier"]),
-            relative_load=float(d["relative_load"]),
-            inputs=(
-                SolutionParameters.from_json_dict(d["inputs"])
-                if d.get("inputs") is not None
-                else None
-            ),
-        )
+        """The plan of a :meth:`to_json_dict` mapping, whose copies of ``L``,
+        ``M_total`` and ``relative_load`` must equal what its ``M`` gives."""
+        inputs = d.get("inputs")
+        if inputs is not None:
+            inputs = SolutionParameters.from_json_dict(inputs)
+        strategy = StrategyId(d["strategy"])
+        plan = cls(strategy, tuple(d["M"]), d["error_bound_multiplier"], inputs)
+        for key, parse in (
+            ("L", lambda v: _whole("L", v, 1, None)),
+            ("M_total", lambda v: tuple(_whole("M_total", m, 1, None) for m in v)),
+            ("relative_load", lambda v: _finite("relative_load", v)),
+        ):
+            if parse(d[key]) != getattr(plan, key):
+                raise ValueError(
+                    f"plan {key} {d[key]!r} contradicts its M {list(plan.M)}, "
+                    f"which gives {getattr(plan, key)!r}"
+                )
+        return plan
 
 
 def _round_half_up(x):
@@ -130,6 +151,27 @@ def relative_dof(level):
     if not isinstance(level, int) or isinstance(level, bool) or level < 1:
         raise ValueError(f"level must be an integer >= 1, got {level!r}")
     return 8.0 ** (-(level - 1))
+
+
+def term_levels(L):
+    """The levels each term of an ``L``-term plan evaluates, finest first.
+
+    Term l < L couples levels l and l+1 on the same realizations; the last
+    term runs alone on level L: ``((1, 2), (2, 3), ..., (L,))``.
+    """
+    return tuple((l, l + 1) for l in range(1, L)) + ((L,),)
+
+
+def load(M, levels):
+    """Work of ``M[t]`` samples of each term ``t`` evaluating ``levels[t]``.
+
+    The sum over terms of count times the :func:`relative_dof` of each level
+    the term evaluates, in units of one finest-level solve.
+    """
+    total = 0.0
+    for count, term in zip(M, levels):
+        total += count * sum(relative_dof(level) for level in term)
+    return total
 
 
 _S4_SCAN_CAP = 64
@@ -176,26 +218,9 @@ def _unrounded_sizes(strategy, p, L):
     return [B * l**w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
 
 
-def _load_from_counts(M):
-    L = len(M)
-    total = 0.0
-    for l in range(1, L):
-        total += M[l - 1] * (relative_dof(l) + relative_dof(l + 1))
-    total += M[L - 1] * relative_dof(L)
-    return total
-
-
 def _classical_plan(M, inputs=None):
-    """The single-level plan of ``M`` finest solves: one term, bound 2e, load M."""
-    return LevelPlan(
-        strategy=StrategyId.CLASSICAL_MC,
-        L=1,
-        M=(M,),
-        M_total=(M,),
-        error_bound_multiplier=2.0,
-        relative_load=float(M),
-        inputs=inputs,
-    )
+    """The single-level plan of ``M`` finest solves: one term, bound 2e."""
+    return LevelPlan(StrategyId.CLASSICAL_MC, (M,), 2.0, inputs)
 
 
 def plan_for_strategy(strategy, p, max_levels=None):
@@ -247,15 +272,7 @@ def plan_for_strategy(strategy, p, max_levels=None):
     # when L comes from its own ceiling; when a max_levels cap shortened the
     # ladder, the extra samples restore the a-priori bound.
     M[-1] = max(M[-1], m_classical)
-    return LevelPlan(
-        strategy=strategy,
-        L=L,
-        M=tuple(M),
-        M_total=tuple(total_samples_per_level(M)),
-        error_bound_multiplier=multiplier,
-        relative_load=_load_from_counts(M),
-        inputs=p,
-    )
+    return LevelPlan(strategy, tuple(M), multiplier, p)
 
 
 def _polynomial_n_exponent(strategy, alpha):

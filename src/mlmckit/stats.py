@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from ._checks import _finite
+
 
 @dataclass(frozen=True)
 class LevelTermStats:
@@ -73,7 +75,8 @@ class SolutionParameters:
         Slack exponent used by the level-weighted strategies; ignored by the
         others.  Must be positive.
 
-    All four must be finite.
+    All four must be finite real numbers (a bool or a string is not one);
+    they are stored as floats.
     """
 
     delta: float
@@ -83,8 +86,7 @@ class SolutionParameters:
 
     def __post_init__(self):
         for name in ("delta", "e", "alpha", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not self.delta > 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.e > 0:
@@ -99,12 +101,7 @@ class SolutionParameters:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            delta=float(d["delta"]),
-            e=float(d["e"]),
-            alpha=float(d["alpha"]),
-            sigma=float(d.get("sigma", 1.0)),
-        )
+        return cls(delta=d["delta"], e=d["e"], alpha=d["alpha"], sigma=d.get("sigma", 1.0))
 
 
 def _values(s):
@@ -182,21 +179,6 @@ def unbiased_variance(s):
         except FloatingPointError as exc:
             raise OverflowError("squared deviation out of range") from exc
     return _fsum(d) / (v.size - 1)
-
-
-def total_samples_per_level(M):
-    """Solves actually run per level when adjacent terms share realizations.
-
-    The finest level is touched only by the first term; every other level l
-    is touched by terms l-1 and l, so its total is M[l-2] + M[l-1].
-    """
-    M = list(M)
-    if not M:
-        raise ValueError("M must be non-empty")
-    if any(int(m) != m or m < 1 for m in M):
-        raise ValueError(f"sample counts must be integers >= 1, got {M}")
-    M = [int(m) for m in M]
-    return [M[0]] + [M[l - 1] + M[l] for l in range(1, len(M))]
 
 
 def estimate_alpha(delta_12, delta_23):

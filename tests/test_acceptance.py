@@ -224,15 +224,7 @@ def test_reports_byte_identical_for_any_worker_count(tmp_path):
     assert all(p == pilots[0] for p in pilots)
     params = pilots[0]
     base = plan_for_strategy("S2", params, max_levels=model.max_level)
-    plan = LevelPlan(
-        strategy=base.strategy,
-        L=2,
-        M=(6000, 40000),
-        M_total=(6000, 46000),
-        error_bound_multiplier=base.error_bound_multiplier,
-        relative_load=0.0,
-        inputs=params,
-    )
+    plan = LevelPlan(base.strategy, (6000, 40000), base.error_bound_multiplier, params)
     payloads, logs = set(), set()
     for i, w in enumerate(workers):
         log = tmp_path / f"samples{i}.csv"

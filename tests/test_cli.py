@@ -320,6 +320,69 @@ def test_run_strategy_plan_mismatch_exits_2(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_every_plan_the_plan_command_writes_runs_embedded(tmp_path):
+    plans = tmp_path / "plans.json"
+    assert main(["plan", "--delta", "2.0", "--err", "0.25", "--alpha", "1.0",
+                 "--out", str(plans)]) == 0
+    written = json.loads(plans.read_text())["plans"]
+    assert len(written) == 5
+    for plan in written:
+        cfg = _two_scale_cfg(tmp_path, plan=plan, strategy=None)
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["plan"] == plan
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {"delta": "0.5", "e": True, "alpha": 1},
+        {"delta": 1.0, "e": "0.1", "alpha": 1.0},
+        {"delta": 1.0, "e": 0.1, "alpha": False},
+        {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": "1"},
+    ],
+)
+def test_run_parameters_that_are_bools_or_strings_exit_2(tmp_path, capsys, parameters):
+    # {"delta": "0.5", "e": true, "alpha": 1} once ran with e = 1.0.
+    cfg = _two_scale_cfg(tmp_path, parameters=parameters)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+# A two-term plan: load 1 (1 + 1/8) + 3/8.
+TWO_TERMS = {"strategy": "S2", "L": 2, "M": [1, 3], "M_total": [1, 4],
+             "error_bound_multiplier": 4.0, "relative_load": 1.5, "inputs": None}
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # Bools and numeric strings: {"L": "2", "M": [true, "3"], ...} once ran
+        # as L = 2 and M = (1, 3).
+        {"L": "2"},
+        {"L": 2.5},
+        {"M": [True, "3"]},
+        {"M": [1, "3"]},
+        {"M_total": [True, 4]},
+        {"error_bound_multiplier": "4"},
+        {"error_bound_multiplier": True},
+        {"relative_load": "1.5"},
+        # Copies of what M gives that contradict it.
+        {"L": 3},
+        {"M_total": [1, 3]},
+        {"relative_load": 1.25},
+    ],
+)
+def test_run_embedded_plan_with_bad_fields_exits_2(tmp_path, capsys, entry):
+    cfg = _two_scale_cfg(tmp_path, plan=TWO_TERMS, strategy=None)
+    assert main(["run", "--config", str(cfg)]) == 0
+    cfg = _two_scale_cfg(tmp_path, plan={**TWO_TERMS, **entry}, strategy=None)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad.json")]) == 2
+    (key,) = entry
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "bad.json").exists()
+
+
 def test_run_reruns_byte_identical(tmp_path):
     cfg = _two_scale_cfg(tmp_path)
     out1 = tmp_path / "r1.json"
@@ -434,7 +497,7 @@ def test_run_embedded_plan_deeper_than_model_exits_2(tmp_path, capsys):
         "M": [8, 8, 8],
         "M_total": [8, 16, 16],
         "error_bound_multiplier": 3.0,
-        "relative_load": 8.0,
+        "relative_load": 10.25,
         "inputs": None,
     }
     cfg = _two_scale_cfg(

@@ -542,12 +542,6 @@ def test_gbm_spec_rejects_values_that_are_not_finite():
             GBMSpec(**{name: bad})
 
 
-def test_cost_hint_defaults_to_relative_dof():
-    m = TwoScaleModel()
-    assert m.cost_hint(1) == 1.0
-    assert m.cost_hint(3) == 1.0 / 64.0
-
-
 # ---------------------------------------------------------------------------
 # the batch contract, for every model
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from mlmckit.planner import (
     classify_cost_regime,
     plan_for_strategy,
     relative_dof,
+    term_levels,
 )
 from mlmckit.stats import SolutionParameters
 
@@ -270,26 +271,49 @@ def test_plan_json_round_trip_and_key_order():
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        LevelPlan(
-            strategy=StrategyId.S1,
-            L=2,
-            M=(10,),
-            M_total=(10,),
-            error_bound_multiplier=4.0,
-            relative_load=10.0,
-            inputs=None,
-        )
-    with pytest.raises(ValueError):
-        LevelPlan(
-            strategy=StrategyId.S1,
-            L=1,
-            M=(0,),
-            M_total=(0,),
-            error_bound_multiplier=4.0,
-            relative_load=0.0,
-            inputs=None,
-        )
+    for bad in ((True, 3), ("3",)):
+        with pytest.raises(ValueError):
+            LevelPlan(StrategyId.S1, bad, 4.0, None)
+    for bad in (0.0, -1.0, math.inf, math.nan, True, "4"):
+        with pytest.raises(ValueError, match="error_bound_multiplier"):
+            LevelPlan(StrategyId.S1, (10,), bad, None)
+    plan = LevelPlan(StrategyId.S1, [10.0, 3], 4, None)  # whole floats are counts
+    assert (plan.M, plan.error_bound_multiplier) == ((10, 3), 4.0)
+
+
+def test_m_total_shares_adjacent_levels():
+    # Level l > 1 is solved by terms l-1 and l: M_total[l-1] = M[l-2] + M[l-1].
+    assert LevelPlan(StrategyId.S1, (11, 48, 210), 5.0, None).M_total == (11, 59, 258)
+    assert LevelPlan(StrategyId.S1, (7,), 5.0, None).M_total == (7,)
+
+
+def test_m_total_validation():
+    # No per-level totals without at least one term, each with a whole count >= 1.
+    for bad in ((), (0,), (3, 0), (3, 2.5)):
+        with pytest.raises(ValueError):
+            LevelPlan(StrategyId.S1, bad, 4.0, None)
+
+
+def test_term_levels_ladder():
+    assert term_levels(1) == ((1,),)
+    assert term_levels(3) == ((1, 2), (2, 3), (3,))
+    assert LevelPlan(StrategyId.S2, (5, 4, 3), 4.0, None).term_levels == term_levels(3)
+
+
+def test_plan_copies_of_derived_fields_must_match_m():
+    d = plan_for_strategy("S1", BENCH).to_json_dict()
+    for key in ("L", "M_total", "relative_load"):
+        with pytest.raises(KeyError):
+            LevelPlan.from_json_dict({k: v for k, v in d.items() if k != key})
+    for key, bad in (
+        ("L", 2), ("L", 3.5), ("L", "3"), ("L", True),
+        ("M_total", [11, 48, 210]), ("M_total", [11, 59]), ("M_total", [11, 59, "258"]),
+        ("relative_load", 22.4), ("relative_load", "22.40625"), ("relative_load", None),
+        ("M", [11, 48, "210"]), ("M", [True, 48, 210]),
+        ("error_bound_multiplier", "5"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            LevelPlan.from_json_dict({**d, key: bad})
 
 
 # ---------------------------------------------------------------------------

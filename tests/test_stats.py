@@ -14,7 +14,6 @@ from mlmckit.stats import (
     estimate_alpha,
     estimate_fine_error,
     mc_mean,
-    total_samples_per_level,
     unbiased_variance,
 )
 
@@ -215,22 +214,8 @@ def test_fsum_fallback_gives_the_same_value_or_error(values):
 
 
 # ---------------------------------------------------------------------------
-# telescoping helpers
+# term statistics
 # ---------------------------------------------------------------------------
-
-def test_total_samples_shares_adjacent_levels():
-    assert total_samples_per_level([11, 48, 210]) == [11, 59, 258]
-    assert total_samples_per_level([7]) == [7]
-
-
-def test_total_samples_validation():
-    with pytest.raises(ValueError):
-        total_samples_per_level([])
-    with pytest.raises(ValueError):
-        total_samples_per_level([3, 0])
-    with pytest.raises(ValueError):
-        total_samples_per_level([3, 2.5])
-
 
 def test_level_term_stats_validation():
     LevelTermStats(term_index=1, mean=0.0, variance=None, count=1)  # ok
@@ -318,6 +303,22 @@ def test_parameters_reject_non_finite_values(name, bad):
     kwargs = {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": 1.0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         SolutionParameters(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["delta", "e", "alpha", "sigma"])
+@pytest.mark.parametrize("bad", [True, False, "0.5", None, [1.0]])
+def test_parameters_reject_bools_and_strings(name, bad):
+    kwargs = {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SolutionParameters(**kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SolutionParameters.from_json_dict(kwargs)
+
+
+def test_parameters_store_floats():
+    p = SolutionParameters(delta=2, e=1, alpha=1, sigma=np.float32(0.5))
+    assert [type(v) for v in p.to_json_dict().values()] == [float] * 4
+    assert p == SolutionParameters(delta=2.0, e=1.0, alpha=1.0, sigma=0.5)
 
 
 def test_parameters_json_round_trip():
