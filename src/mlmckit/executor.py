@@ -25,10 +25,9 @@ one chunk per 512 samples begun, up to eight chunks, so eight from 3585 to
 131 072 samples, and chunks of at most ``_CHUNK`` = 16 384 seeds beyond.
 The chunks are handed out in sample order from one shared counter.  Each
 chunk derives its own seeds from (base_seed, counter), evaluates them at
-every level of its term back to back, in ascending order, on one thread,
-with one ``evaluate_many`` call per level (models may rely on that, for
-example to reuse a draw), checks that each level's values are finite, and
-writes the coupled difference straight into the term's values.
+every level of its term in one ``evaluate_levels`` call, checks that the
+values are finite, and writes the coupled difference straight into the
+term's values.
 Per-level values are kept only for a sample log and for the pilot, which
 needs its three levels.  Chunk boundaries and aggregation do not depend on
 the worker count, so neither do the bytes of any report.
@@ -49,10 +48,10 @@ Failures: a raised error and a non-finite value follow one rule.  The run
 fails with a :class:`ModelEvaluationError` naming the first failing chunk
 in sample order, the lowest failing level of that chunk, and its first
 failing seed at that level, unless the model raises that error itself.
-A raised error is traced to its seed by halving the batch, in O(log chunk)
-calls (see :func:`_evaluate_chunk`).  Once a chunk fails no further chunk
-is handed out; the lowest failing chunk is raised after every chunk before
-it has finished.  Chunks are cut by sample count alone, so the error does
+A raised error is traced to its seed by halving the chunk at each level in
+turn, in O(log chunk) calls (see :func:`_evaluate_chunk`).  Once a chunk
+fails no further chunk is handed out; the lowest failing chunk is raised
+after every chunk before it has finished.  Chunks are cut by sample count alone, so the error does
 not depend on the worker count.
 """
 
@@ -93,7 +92,7 @@ _PILOT_SALT = 0x70696C6F74C0FFEE
 # fixed 16384-seed chunks left GBM's 4096-sample pilot on one thread and
 # its 74 930-sample closure term ending on one.  A term gets one chunk per
 # _CHUNK_STEP samples begun, up to _SPLIT, which bounds the per-chunk cost
-# (seed derivation, a lock, one model call per level) that small terms pay.
+# (seed derivation, a lock, one model call) that small terms pay.
 _CHUNK = 16384
 _SPLIT = 8
 _CHUNK_STEP = 512
@@ -124,6 +123,11 @@ class QoIModel(ABC):
     :class:`ModelEvaluationError`; otherwise the executor halves a batch
     that raises until it finds the seed (see :func:`_evaluate_chunk`).
     ``max_level`` is the coarsest level the model can run.
+
+    The executor calls ``evaluate_levels(levels, seeds)`` once per chunk,
+    for every level of its term.  A model may override it to share work
+    between the levels of one realization, such as its draw; it must equal
+    the stacked ``evaluate_many`` rows bit for bit.
     """
 
     max_level: int = 1
@@ -131,6 +135,10 @@ class QoIModel(ABC):
     @abstractmethod
     def evaluate_many(self, level, seeds):
         """QoI evaluations at ``level`` for the realizations ``seeds``."""
+
+    def evaluate_levels(self, levels, seeds):
+        """A ``(len(levels), len(seeds))`` array: row i is ``evaluate_many(levels[i], seeds)``."""
+        return np.stack([np.asarray(self.evaluate_many(lv, seeds), dtype=float) for lv in levels])
 
 
 @dataclass(frozen=True)
@@ -192,37 +200,47 @@ def _pool(helpers):
     return ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else nullcontext()
 
 
-def _evaluate_chunk(model, level, seeds):
-    """``model``'s values at ``level`` for ``seeds``, all finite, or the failure.
+def _evaluate_chunk(model, levels, seeds):
+    """``model``'s values at ``levels`` for ``seeds``, all finite, or the failure.
 
-    The executor's failure rule lives here alone.  A batch that raises is
-    split in two and each half evaluated the same way, in order, so the
-    first failing seed, raised or non-finite, is named in at most
-    2 * ceil(log2(len(seeds))) + 1 ``evaluate_many`` calls.  That evaluates
-    up to about 2 * len(seeds) seeds beyond the failing batch, where
-    one-seed batches would evaluate len(seeds) seeds in as many calls.  A
-    batch that raises while both its halves succeed, or that returns the
-    wrong shape, names no seed.
+    The executor's failure rule lives here alone: the lowest failing level,
+    and its first failing seed.  A non-finite value is found by the
+    row-major ``argmin`` over the ``(levels, seeds)`` array.  A call that
+    raises is followed, at each level in ascending order, by the same
+    search over the two halves of the seeds, one level per call, until a
+    half fails.  So a one-level chunk of n seeds names its first failing
+    seed, raised or non-finite, in at most 2 * ceil(log2(n)) + 1
+    ``evaluate_levels`` calls, and a two-level chunk in at most
+    2 * ceil(log2(n)) + 3.  Beyond the failing call, that evaluates the n
+    seeds once more at each level below the failing one and up to about 2n
+    at the failing level, where one-seed batches would take n calls per
+    level.  A call that raises while all its halves succeed, or that
+    returns the wrong shape, names no seed, at its lowest level.
     """
     try:
-        out = np.asarray(model.evaluate_many(level, seeds), dtype=float)
+        out = np.asarray(model.evaluate_levels(levels, seeds), dtype=float)
     except ModelEvaluationError:
         raise
     except Exception as exc:
-        if len(seeds) == 1:
-            raise ModelEvaluationError(level, int(seeds[0]), exc) from exc
+        if len(levels) == 1 and len(seeds) == 1:
+            raise ModelEvaluationError(levels[0], int(seeds[0]), exc) from exc
         half = len(seeds) // 2
-        _evaluate_chunk(model, level, seeds[:half])
-        _evaluate_chunk(model, level, seeds[half:])
-        raise ModelEvaluationError(level, None, exc) from exc
-    if out.shape != (len(seeds),):
+        parts = (seeds[:half], seeds[half:]) if half else (seeds,)
+        for level in levels:
+            for part in parts:
+                _evaluate_chunk(model, (level,), part)
+        raise ModelEvaluationError(levels[0], None, exc) from exc
+    if out.shape != (len(levels), len(seeds)):
         raise ModelEvaluationError(
-            level, None, f"batch returned shape {out.shape} for {len(seeds)} seeds"
+            levels[0], None,
+            f"batch returned shape {out.shape} for {len(levels)} levels of {len(seeds)} seeds",
         )
     finite = np.isfinite(out)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ModelEvaluationError(level, int(seeds[bad]), f"non-finite value {out[bad]!r}")
+        row, col = np.unravel_index(np.argmin(finite), out.shape)
+        raise ModelEvaluationError(
+            levels[row], int(seeds[col]), f"non-finite value {out[row, col]!r}"
+        )
     return out
 
 
@@ -236,10 +254,10 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     This is the executor's one loop over samples.  The calling thread and
     up to ``helpers`` threads of ``pool`` take chunk indices in sample
     order from one shared counter.  Each chunk derives its own seeds,
-    evaluates them at every level in ascending order through
-    :func:`_evaluate_chunk` and writes its slice of ``values``.  A failing
-    chunk is recorded by index and stops the hand-out; the lowest one is
-    raised once every thread has finished its chunk.
+    evaluates them at every level through :func:`_evaluate_chunk` and
+    writes its slice of ``values``.  A failing chunk is recorded by index
+    and stops the hand-out; the lowest one is raised once every thread has
+    finished its chunk.
     """
     values = np.empty(count)
     rows = np.empty((len(levels), count)) if keep else None
@@ -253,17 +271,10 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     def run_chunk(i):
         seeds = counter_seeds(base_seed, start + i, min(size, count - i))
         done = slice(i, i + len(seeds))
-        for j, level in enumerate(levels):
-            out = _evaluate_chunk(model, level, seeds)
-            if j == 0:
-                values[done] = out
-            elif j == 1:
-                values[done] -= out
-            if keep:
-                rows[j, done] = out
-            # Each level's values are in place now; free them before the
-            # next level is evaluated.
-            del out
+        out = _evaluate_chunk(model, levels, seeds)
+        values[done] = out[0] - out[1] if len(levels) > 1 else out[0]
+        if keep:
+            rows[:, done] = out
 
     def work():
         nonlocal handed, stop

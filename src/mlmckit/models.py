@@ -7,7 +7,6 @@ so adjacent-level differences measure pure discretization error.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -443,35 +442,15 @@ class TwoScaleModel(QoIModel):
         return self.amp * 2.0 ** (self.alpha * (level - 1))
 
     def evaluate_many(self, level, seeds):
-        level = _whole("level", level, 1, self.max_level)
-        lanes = _two_normals(np.asarray(seeds, dtype=np.uint64).ravel())
-        out = np.multiply(lanes[:, 1], self._scale(level))
+        return self.evaluate_levels((level,), seeds)[0]
+
+    def evaluate_levels(self, levels, seeds):
+        """Every level from one draw of the two normals of each seed."""
+        scales = [self._scale(_whole("level", lv, 1, self.max_level)) for lv in levels]
+        lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64).ravel(), 2)
+        out = np.multiply.outer(scales, lanes[:, 1])
         out += lanes[:, 0]
         return out
-
-
-# The last TwoScale draw on each thread, as (copy of seeds, lanes).  The
-# executor evaluates a chunk at every level of its term back to back on one
-# thread, so every level after the first reuses the draw.  The draw depends
-# only on the seeds, so one slot serves every instance.
-_last_draw = threading.local()
-
-
-def _two_normals(seeds):
-    old, lanes = getattr(_last_draw, "value", (None, None))
-    # Size and first seed reject a new chunk in O(1) before the full compare.
-    if (
-        old is not None
-        and old.size == seeds.size
-        and (old.size == 0 or old[0] == seeds[0])
-        and np.array_equal(old, seeds)
-    ):
-        return lanes
-    # Let the previous draw go before the next one is made.
-    _last_draw.value = old = lanes = None
-    lanes = normal_lanes(seeds, 2)
-    _last_draw.value = (seeds.copy(), lanes)
-    return lanes
 
 
 # ---------------------------------------------------------------------------

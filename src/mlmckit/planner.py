@@ -70,6 +70,8 @@ class LevelPlan:
         M = tuple(_whole("M", m, 1, None) for m in self.M)
         if not M:
             raise ValueError("a plan needs at least one term")
+        if self.strategy is StrategyId.CLASSICAL_MC and len(M) != 1:
+            raise ValueError(f"strategy {self.strategy.value} has one term, got M {list(M)}")
         object.__setattr__(self, "M", M)
         multiplier = _finite("error_bound_multiplier", self.error_bound_multiplier, positive=True)
         object.__setattr__(self, "error_bound_multiplier", multiplier)

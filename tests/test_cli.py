@@ -371,6 +371,8 @@ TWO_TERMS = {"strategy": "S2", "L": 2, "M": [1, 3], "M_total": [1, 4],
         {"L": 3},
         {"M_total": [1, 3]},
         {"relative_load": 1.25},
+        # A classical plan has one term; this one ran M[0] and reported M.
+        {"strategy": "ClassicalMC"},
     ],
 )
 def test_run_embedded_plan_with_bad_fields_exits_2(tmp_path, capsys, entry):

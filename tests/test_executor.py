@@ -62,7 +62,20 @@ class ConstantModel(QoIModel):
         return np.full(len(seeds), 1.5)
 
 
-class RecorderModel(TwoScaleModel):
+class TwoScaleBatches(QoIModel):
+    """A TwoScaleModel behind the default ``evaluate_levels``, which calls
+    ``evaluate_many`` once per level, so a subclass can watch or poison
+    each level's batch by overriding ``evaluate_many``."""
+
+    def __init__(self, **kw):
+        self.two_scale = TwoScaleModel(**kw)
+        self.max_level = self.two_scale.max_level
+
+    def evaluate_many(self, level, seeds):
+        return self.two_scale.evaluate_many(level, seeds)
+
+
+class RecorderModel(TwoScaleBatches):
     """Two-scale model that logs every (level, seed) it is asked for."""
 
     def __init__(self, **kw):
@@ -74,7 +87,7 @@ class RecorderModel(TwoScaleModel):
         return super().evaluate_many(level, seeds)
 
 
-class PoisonModel(TwoScaleModel):
+class PoisonModel(TwoScaleBatches):
     """Returns NaN (or raises) for one specific (level, seed) pair."""
 
     def __init__(self, poison_level, poison_seed, raise_instead=False, **kw):
@@ -215,7 +228,7 @@ def test_chunk_sizes_depend_on_the_sample_count_alone():
     assert _chunks(8 * CHUNK) == [CHUNK] * 8
     assert _chunks(500) == [500]
 
-    class BatchSizes(TwoScaleModel):
+    class BatchSizes(TwoScaleBatches):
         def __init__(self):
             super().__init__()
             self.sizes = []
@@ -264,7 +277,7 @@ def test_one_pool_per_call_with_workers(pools):
 
 
 def test_a_4096_sample_pilot_runs_on_two_threads(pools):
-    class MeetsAHelper(TwoScaleModel):
+    class MeetsAHelper(TwoScaleBatches):
         """Each thread's first batch waits until a second thread has started one."""
 
         def __init__(self):
@@ -315,7 +328,7 @@ def test_default_workers_are_the_usable_cpus(pools, monkeypatch, cpus):
 
 @pytest.mark.parametrize("workers", [2, 4, None])
 def test_a_call_runs_on_at_most_workers_threads_and_chunks(workers):
-    class ThreadCounter(TwoScaleModel):
+    class ThreadCounter(TwoScaleBatches):
         def __init__(self):
             super().__init__()
             self.threads = set()
@@ -352,7 +365,7 @@ def test_more_workers_than_cores_fill_every_sample(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_each_level_of_a_chunk_is_one_batch_call(workers):
-    class BatchRecorder(TwoScaleModel):
+    class BatchRecorder(TwoScaleBatches):
         def __init__(self):
             super().__init__()
             self.batches = []
@@ -397,11 +410,7 @@ _SPAN_PILOT = (1.4115110276813985, 0.1584910056845404)
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Counts TwoScale's normal draws, as the seed count of each.
-
-    The per-thread slot of the last draw starts empty, so a draw left by an
-    earlier test cannot be reused.
-    """
+    """Counts TwoScale's normal draws, as the seed count of each."""
     seen = []
 
     def counting(seeds, n):
@@ -409,7 +418,6 @@ def draws(monkeypatch):
         return normal_lanes(seeds, n)
 
     monkeypatch.setattr(models, "normal_lanes", counting)
-    monkeypatch.setattr(models, "_last_draw", threading.local())
     return seen
 
 
@@ -596,7 +604,7 @@ def test_raised_exception_names_level_and_seed():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
-    class Poisons(TwoScaleModel):
+    class Poisons(TwoScaleBatches):
         """Raises at the ``raises`` (level, seed) pairs and returns NaN at ``nans``."""
 
         def __init__(self, raises=(), nans=()):
@@ -640,7 +648,7 @@ def test_failure_is_the_first_failing_chunk_at_its_lowest_level(workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, None])
 def test_two_failures_name_the_same_level_and_seed_at_any_worker_count(workers):
-    class TwoFailures(TwoScaleModel):
+    class TwoFailures(TwoScaleBatches):
         """NaN at the ``nan`` (level, seed); raises at the ``raises`` one."""
 
         def __init__(self, nan, raises):
@@ -677,7 +685,7 @@ def test_a_slow_early_failure_wins_over_a_fast_later_one(workers):
     seeds = counter_seeds(0, 0, SPAN)
     slow, fast = (2, int(seeds[5])), (1, int(seeds[_starts(SPAN)[-1] + 3]))
 
-    class SlowThenFast(TwoScaleModel):
+    class SlowThenFast(TwoScaleBatches):
         """Chunk 0 fails at level 2 after a pause; the last chunk fails at level 1 at once."""
 
         def __init__(self):
@@ -707,7 +715,7 @@ def test_a_failure_stops_handing_out_chunks():
     size = _chunks(count)[0]
     assert _chunks(count) == [size] * 10  # every chunk after chunk 0 pauses
 
-    class FailFirst(TwoScaleModel):
+    class FailFirst(TwoScaleBatches):
         """Fails in chunk 0 at once; every other chunk takes a while."""
 
         def __init__(self):
@@ -742,7 +750,7 @@ def test_a_raised_failure_is_located_in_log_chunk_calls(where):
     count = executor._SPLIT * CHUNK
     assert _chunks(count)[0] == CHUNK
 
-    class CountingPoison(TwoScaleModel):
+    class CountingPoison(TwoScaleBatches):
         """Raises for one seed, counting every call and every seed evaluated."""
 
         def __init__(self, bad_seed):
@@ -766,7 +774,7 @@ def test_a_raised_failure_is_located_in_log_chunk_calls(where):
     assert model.seeds <= 3 * CHUNK
 
 
-class WrongShapeModel(TwoScaleModel):
+class WrongShapeModel(TwoScaleBatches):
     """Returns one value too many, or the right values as an (n, 1) column."""
 
     def __init__(self, column):
@@ -778,7 +786,7 @@ class WrongShapeModel(TwoScaleModel):
         return out[:, None] if self.column else np.append(out, 0.0)
 
 
-class BatchOnlyFailure(TwoScaleModel):
+class BatchOnlyFailure(TwoScaleBatches):
     """Raises for any batch of more than one seed, though every seed alone runs."""
 
     def evaluate_many(self, level, seeds):
@@ -802,6 +810,77 @@ def test_wrong_shapes_and_batch_only_failures_name_no_seed(model, detail, worker
         run_mlmc(model, _plan(StrategyId.S2, (SPAN, 10)), 0, workers=workers)
     assert exc.value.level == 1
     assert exc.value.seed is None
+
+
+class LevelsPoison(QoIModel):
+    """Overrides ``evaluate_levels`` itself, counting its calls.
+
+    Raises at the ``raises`` (level, seed) pairs and returns NaN at
+    ``nans``; with ``column``, returns the right values as an
+    ``(levels, seeds, 1)`` array.
+    """
+
+    def __init__(self, raises=(), nans=(), column=False):
+        self.two_scale = TwoScaleModel()
+        self.max_level = self.two_scale.max_level
+        self.raises, self.nans, self.column = set(raises), set(nans), column
+        self.calls = 0
+
+    def evaluate_many(self, level, seeds):
+        return self.evaluate_levels((level,), seeds)[0]
+
+    def evaluate_levels(self, levels, seeds):
+        self.calls += 1
+        out = self.two_scale.evaluate_levels(levels, seeds)
+        for row, level in enumerate(levels):
+            for lv, seed in self.raises:
+                if lv == level and (seeds == np.uint64(seed)).any():
+                    raise RuntimeError("solver diverged")
+            for lv, seed in self.nans:
+                out[row, (seeds == np.uint64(seed)) & (lv == level)] = math.nan
+        return out[..., None] if self.column else out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_model_of_its_own_evaluate_levels_names_the_failing_pair(workers):
+    seeds = counter_seeds(0, 0, SPAN)
+    plan = _plan(StrategyId.S2, (SPAN, 10))
+    late_fine, early_coarse = (1, int(seeds[CHUNK + 5])), (2, int(seeds[7]))
+    same_chunk_coarse = (2, int(seeds[CHUNK + 1]))
+
+    def failure(**poisons):
+        with pytest.raises(ModelEvaluationError) as exc:
+            run_mlmc(LevelsPoison(**poisons), plan, 0, workers=workers)
+        return exc.value.level, exc.value.seed
+
+    for pair in (late_fine, early_coarse, same_chunk_coarse, (2, int(seeds[-1]))):
+        assert failure(raises=[pair]) == pair
+        assert failure(nans=[pair]) == pair
+    for kind in ("raises", "nans"):
+        assert failure(**{kind: [late_fine, early_coarse]}) == early_coarse
+        assert failure(**{kind: [late_fine, same_chunk_coarse]}) == late_fine
+    # The lower level is named, a NaN below a raise in the same chunk too.
+    assert failure(nans=[late_fine], raises=[same_chunk_coarse]) == late_fine
+    assert failure(raises=[late_fine], nans=[same_chunk_coarse]) == late_fine
+    with pytest.raises(ModelEvaluationError, match="batch returned shape") as exc:
+        run_mlmc(LevelsPoison(column=True), plan, 0, workers=workers)
+    assert (exc.value.level, exc.value.seed) == (1, None)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("where", [0, 1000, 4196])
+def test_a_raise_in_a_two_level_chunk_is_located_in_log_chunk_calls(level, where):
+    # Serially, no chunk after the first starts: the first chunk's one
+    # two-level call, the halves of every level below the failing one, and
+    # the halving search at the failing level.
+    size = _chunks(SPAN)[0]
+    assert where < size
+    bad = (level, int(counter_seeds(0, where, 1)[0]))
+    model = LevelsPoison(raises=[bad])
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(model, _plan(StrategyId.S2, (SPAN, 10)), 0, workers=1)
+    assert (exc.value.level, exc.value.seed) == bad
+    assert model.calls <= 2 * math.ceil(math.log2(size)) + 2 * level - 1
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,7 @@ def test_two_scale_models_share_draws_but_not_results():
 def test_two_scale_batch_accepts_empty_and_list_seeds():
     m = TwoScaleModel()
     seeds = [int(s) for s in counter_seeds(6, 0, 5)]
-    # Each kind of input at two levels in a row, so the second call reuses.
+    # Each kind of input at two levels in a row.
     for level in (1, 2):
         assert m.evaluate_many(level, []).shape == (0,)
     for level in (1, 2):
@@ -578,6 +578,22 @@ def test_model_batch_contract(name, monkeypatch):
                 model.evaluate_many(level, bad)
     # A whole-number float is its level, as in a config.
     assert model.evaluate_many(2.0, seeds).tobytes() == batches[2].tobytes()
+    # evaluate_levels is the stacked evaluate_many rows, bit for bit: over
+    # each adjacent pair, as a coupled term asks, and over all levels.
+    ladder = range(1, model.max_level + 1)
+    for levels in [(lv, lv + 1) for lv in ladder[:-1]] + [tuple(ladder)]:
+        stacked = np.stack([batches[lv] for lv in levels])
+        for m in (model, clone):
+            out = m.evaluate_levels(levels, seeds)
+            assert out.shape == stacked.shape and out.dtype == np.float64
+            assert out.tobytes() == stacked.tobytes()
+        assert model.evaluate_levels(levels, []).shape == (len(levels), 0)
+        listed = model.evaluate_levels(list(levels), seeds[:5].tolist())
+        assert listed.tobytes() == stacked[:, :5].copy().tobytes()
+    for level in (0, model.max_level + 1, True, 2.5, "2"):
+        for bad in (seeds[:1], []):
+            with pytest.raises(ValueError):
+                model.evaluate_levels((1, level), bad)
     # Small tiles (one GBM seed, 3 or 6 Burgers seeds, 50 TwoScale seeds)
     # cross many tile boundaries and give the same bits.
     monkeypatch.setattr(_bits, "_TILE", 100)

@@ -279,6 +279,10 @@ def test_plan_validation():
             LevelPlan(StrategyId.S1, (10,), bad, None)
     plan = LevelPlan(StrategyId.S1, [10.0, 3], 4, None)  # whole floats are counts
     assert (plan.M, plan.error_bound_multiplier) == ((10, 3), 4.0)
+    # A classical plan is one term at one level; a second count was dropped.
+    assert LevelPlan(StrategyId.CLASSICAL_MC, (5,), 2.0, None).M == (5,)
+    with pytest.raises(ValueError, match="ClassicalMC has one term"):
+        LevelPlan(StrategyId.CLASSICAL_MC, (5, 3), 2.0, None)
 
 
 def test_m_total_shares_adjacent_levels():
