@@ -20,13 +20,9 @@ from .models import (
     BurgersSpec,
     GBMModel,
     GBMSpec,
-    TopographySample,
     TopographySpec,
     TwoScaleModel,
-    evaluate_topography,
     model_from_config,
-    sample_topography,
-    write_topography_csv,
 )
 from .planner import (
     CostRegime,
@@ -62,21 +58,17 @@ __all__ = [
     "RunReport",
     "SolutionParameters",
     "StrategyId",
-    "TopographySample",
     "TopographySpec",
     "TwoScaleModel",
     "classify_cost_regime",
     "estimate_alpha",
     "estimate_fine_error",
-    "evaluate_topography",
     "mc_mean",
     "model_from_config",
     "pilot_estimate_parameters",
     "plan_for_strategy",
     "run_classical_mc",
     "run_mlmc",
-    "sample_topography",
     "unbiased_variance",
-    "write_topography_csv",
     "__version__",
 ]

@@ -1,9 +1,11 @@
-"""Stochastic QoI models: spectral topography, GBM and Burgers testbeds.
+"""Stochastic QoI models: GBM, forced Burgers and two-scale testbeds.
 
 Every model here satisfies the executor's coupling contract: one seed pins
-one underlying random realization (a coefficient draw, a Brownian path),
-and evaluating at a coarser level re-discretizes *that same realization*,
-so adjacent-level differences measure pure discretization error.
+one underlying random realization (a Brownian path, a forcing field, two
+normals), and evaluating at a coarser level re-discretizes *that same
+realization*, so adjacent-level differences measure pure discretization
+error.  Every draw comes from the seed's counter lanes
+(:func:`mlmckit._bits.normal_lanes`), the package's one random source.
 """
 
 import math
@@ -15,124 +17,6 @@ import numpy as np
 from ._bits import _tiles, normal_lanes, scratch
 from ._checks import _finite, _whole
 from .executor import ModelEvaluationError, QoIModel
-
-
-# ---------------------------------------------------------------------------
-# Random spectral topography
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TopographySpec:
-    """Random seabed elevation synthesized from a truncated Fourier sum.
-
-    Modes k (zonal, full periods over Lx) and l (meridional, half periods
-    over Ly) each run over an inclusive integer interval; every mode gets
-    two i.i.d. standard-normal coefficients weighted by H/(k^2 + l^2).
-    Defaults give a 500 m-amplitude basin of 2000 km x 1733 km.
-    """
-
-    H: float = 500.0
-    Lx: float = 2_000_000.0
-    Ly: float = 1_733_000.0
-    k_range: tuple = (4, 20)
-    l_range: tuple = (4, 20)
-
-    def __post_init__(self):
-        _finite("H", self.H)
-        if self.H < 0:
-            raise ValueError(f"H must be >= 0, got {self.H}")
-        for name in ("Lx", "Ly"):
-            _finite(name, getattr(self, name), positive=True)
-        for name in ("k_range", "l_range"):
-            lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
-            if hi < lo:
-                raise ValueError(f"{name} must be an integer interval, got {(lo, hi)}")
-            object.__setattr__(self, name, (lo, hi))
-
-    @property
-    def n_k(self):
-        return self.k_range[1] - self.k_range[0] + 1
-
-    @property
-    def n_l(self):
-        return self.l_range[1] - self.l_range[0] + 1
-
-    @property
-    def coefficient_count(self):
-        return 2 * self.n_k * self.n_l
-
-
-@dataclass(frozen=True)
-class TopographySample:
-    """One coefficient draw: ``a`` multiplies cos(2 pi k x / Lx), ``b`` sin."""
-
-    spec: TopographySpec
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.spec.n_k, self.spec.n_l)
-        if self.a.shape != shape or self.b.shape != shape:
-            raise ValueError(
-                f"coefficient arrays must have shape {shape}, "
-                f"got {self.a.shape} and {self.b.shape}"
-            )
-
-
-def sample_topography(spec, seed):
-    """Draw all coefficients i.i.d. standard normal from one seeded generator.
-
-    Draw order is fixed: k-major, l-minor, the cos coefficient before the
-    sin coefficient of each mode — i.e. a[k0,l0], b[k0,l0], a[k0,l1], ...
-    """
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(spec.coefficient_count).reshape(spec.n_k, spec.n_l, 2)
-    return TopographySample(spec=spec, a=draws[:, :, 0].copy(), b=draws[:, :, 1].copy())
-
-
-def _mode_weights(spec):
-    k = np.arange(spec.k_range[0], spec.k_range[1] + 1, dtype=float)
-    l = np.arange(spec.l_range[0], spec.l_range[1] + 1, dtype=float)
-    return k, l, spec.H / (k[:, None] ** 2 + l[None, :] ** 2)
-
-
-def evaluate_topography(sample, x, y):
-    """Field height at (x, y); scalars or broadcastable arrays, in-domain only."""
-    spec = sample.spec
-    x_arr = np.asarray(x, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(x_arr < 0) or np.any(x_arr > spec.Lx):
-        raise ValueError(f"x out of domain [0, {spec.Lx}]")
-    if np.any(y_arr < 0) or np.any(y_arr > spec.Ly):
-        raise ValueError(f"y out of domain [0, {spec.Ly}]")
-    xb, yb = np.broadcast_arrays(x_arr, y_arr)
-    shape = xb.shape
-    xf, yf = xb.ravel(), yb.ravel()
-
-    k, l, w = _mode_weights(spec)
-    P = w * sample.a  # cos coefficients, weighted
-    Q = w * sample.b  # sin coefficients, weighted
-    phase = 2.0 * np.pi * np.outer(k, xf) / spec.Lx
-    tmp = P.T @ np.cos(phase) + Q.T @ np.sin(phase)  # (n_l, N)
-    sy = np.sin(np.pi * np.outer(l, yf) / spec.Ly)
-    field = (tmp * sy).sum(axis=0)
-    if shape == ():
-        return float(field[0])
-    return field.reshape(shape)
-
-
-def write_topography_csv(sample, path, nx=65, ny=65):
-    """Dump the field on a regular grid as ``x,y,height`` rows (for plotting)."""
-    spec = sample.spec
-    xs = np.linspace(0.0, spec.Lx, nx)
-    ys = np.linspace(0.0, spec.Ly, ny)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = evaluate_topography(sample, X, Y)
-    with open(path, "w") as fh:
-        fh.write("x,y,height\n")
-        for i in range(nx):
-            for j in range(ny):
-                fh.write(f"{float(xs[i])!r},{float(ys[j])!r},{float(Z[i, j])!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +132,40 @@ class GBMModel(QoIModel):
 # Stochastically forced viscous Burgers testbed
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TopographySpec:
+    """The Burgers forcing's spectrum, from a random-topography recipe.
+
+    Modes k (zonal, full periods over Lx) and l (meridional) each run over
+    an inclusive integer interval, and mode (k, l) weighs H/(k^2 + l^2).
+    In one dimension the l-sum collapses: zonal mode k has amplitude
+    s_k = sqrt(sum_l w_kl^2) (see :func:`_forcing_modes`).  ``Ly`` is
+    validated but does not enter the 1-D forcing.
+    """
+
+    H: float = 500.0
+    Lx: float = 2_000_000.0
+    Ly: float = 1_733_000.0
+    k_range: tuple = (4, 20)
+    l_range: tuple = (4, 20)
+
+    def __post_init__(self):
+        _finite("H", self.H)
+        if self.H < 0:
+            raise ValueError(f"H must be >= 0, got {self.H}")
+        for name in ("Lx", "Ly"):
+            _finite(name, getattr(self, name), positive=True)
+        for name in ("k_range", "l_range"):
+            lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
+            if hi < lo:
+                raise ValueError(f"{name} must be an integer interval, got {(lo, hi)}")
+            object.__setattr__(self, name, (lo, hi))
+
+    @property
+    def n_k(self):
+        return self.k_range[1] - self.k_range[0] + 1
+
+
 _CFL = 0.4
 _U_CAP = 1.0  # advective stability budget; exceeding it aborts the sample
 
@@ -256,14 +174,14 @@ _U_CAP = 1.0  # advective stability budget; exceeding it aborts the sample
 class BurgersSpec:
     """Periodic viscous Burgers driven by a frozen random Fourier force.
 
-    The forcing reuses the topography recipe in one dimension (the
-    meridional factor is dropped; the l-sum collapses into per-k
-    coefficients), sampled onto each grid from the same seed, so every
-    level sees the same continuous forcing field.  The QoI is the
-    time-averaged spatial mean of u^2 over the second half of the horizon.
-    First-order Godunov upwinding for the convective flux plus explicit
-    central diffusion; the time step obeys a 0.4 CFL number against both
-    the diffusive limit and a unit velocity cap.
+    The forcing is f(x) = sum_k s_k (z_k cos(2 pi k x / L) + z'_k sin(2 pi
+    k x / L)), with z and z' the seed's 2 n_k counter lanes and s_k the
+    amplitudes of ``forcing``.  It is drawn once per seed and sampled at
+    each grid's cell centers, so every level sees the same continuous
+    forcing field.  The QoI is the time-averaged spatial mean of u^2 over
+    the second half of the horizon.  First-order Godunov upwinding for the
+    convective flux plus explicit central diffusion; the time step obeys a
+    0.4 CFL number against both the diffusive limit and a unit velocity cap.
     """
 
     viscosity: float = 0.005
@@ -317,22 +235,36 @@ class BurgersSpec:
         return cls(**out)
 
 
-def burgers_forcing_profile(spec, seed, n_cells):
-    """The seed's forcing field sampled at the n cell centers.
+def _forcing_modes(spec, n):
+    """The (2 n_k, n) forcing modes of ``spec`` at the centers of n cells.
 
-    f(x) = sum_k A_k cos(2 pi k x / L) + B_k sin(2 pi k x / L), where A_k
-    and B_k collapse the weighted 2-D coefficient draw over its second
-    index.  The same seed gives the same continuous field on every grid.
+    Row j is s_k cos(2 pi k x / L) and row n_k + j is s_k sin(2 pi k x / L)
+    for the j-th zonal mode k, where s_k = sqrt(sum_l (H / (k^2 + l^2))^2).
+    A weighted sum of independent standard normals is one normal of that
+    spread, so one lane per row has the law of the full (k, l) draw.
     """
-    sample = sample_topography(spec.forcing, seed)
-    _, _, w = _mode_weights(spec.forcing)
-    A = (w * sample.a).sum(axis=1)
-    B = (w * sample.b).sum(axis=1)
-    k = np.arange(spec.forcing.k_range[0], spec.forcing.k_range[1] + 1, dtype=float)
-    dx = spec.domain_length / n_cells
-    x = (np.arange(n_cells) + 0.5) * dx
+    forcing = spec.forcing
+    k = np.arange(forcing.k_range[0], forcing.k_range[1] + 1, dtype=float)
+    l = np.arange(forcing.l_range[0], forcing.l_range[1] + 1, dtype=float)
+    s = np.sqrt(((forcing.H / (k[:, None] ** 2 + l[None, :] ** 2)) ** 2).sum(axis=1))
+    x = (np.arange(n) + 0.5) * (spec.domain_length / n)
     phase = 2.0 * np.pi * np.outer(k, x) / spec.domain_length
-    return A @ np.cos(phase) + B @ np.sin(phase)
+    return np.concatenate([s[:, None] * np.cos(phase), s[:, None] * np.sin(phase)])
+
+
+def _forcing(lanes, modes):
+    """The (B, n) forcing rows sum_j lanes[j, b] * modes[j] of a tile.
+
+    ``lanes`` is (2 n_k, B).  The sum is built one mode at a time by
+    elementwise ufuncs, so each row's bits do not depend on the rest of the
+    tile.  A matrix product would: a one-row product runs as gemv, and its
+    rounding differs from a batched row's.
+    """
+    f = np.multiply.outer(lanes[0], modes[0])
+    term = np.empty_like(f)
+    for z, mode in zip(lanes[1:], modes[1:]):
+        f += np.multiply.outer(z, mode, out=term)
+    return f
 
 
 class _BlowUp(ValueError):
@@ -390,9 +322,11 @@ class BurgersModel(QoIModel):
     """QoIModel that integrates a batch from rest, one tile of seeds at a time.
 
     A tile of ``_bits._TILE // n`` seeds (n cells, at least one seed) steps
-    together as one (B, n) array, so a batch's working set is one tile's.
-    Tiles run in seed order, each to its last step, so a batch names its
-    first blown seed in seed order.
+    together as one (B, n) array, so a batch's working set is one tile's
+    and the batch's forcing lanes.  Levels run in the order given (the
+    executor's is ascending) and tiles in seed order, each to its last
+    step, so a batch names its first failing level and that level's first
+    blown seed in seed order.
     """
 
     def __init__(self, spec=None):
@@ -400,20 +334,28 @@ class BurgersModel(QoIModel):
         self.max_level = self.spec.max_level
 
     def evaluate_many(self, level, seeds):
-        spec, n = self.spec, self.spec.cells_at_level(level)
+        return self.evaluate_levels((level,), seeds)[0]
+
+    def evaluate_levels(self, levels, seeds):
+        """Every level from one draw of the forcing lanes of each seed."""
+        spec = self.spec
+        cells = [spec.cells_at_level(lv) for lv in levels]
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-        T, dx = spec.time_horizon, spec.domain_length / n
-        out = np.empty(seeds.size)
-        for tile in _tiles(seeds.size, n):
-            part = seeds[tile]
-            f = np.reshape([burgers_forcing_profile(spec, s, n) for s in part.tolist()], (-1, n))
-            try:
-                out[tile] = _burgers_integrate(
-                    np.zeros_like(f), f, dx, spec.viscosity, T, 0.5 * T
-                )[0]
-            except _BlowUp as exc:
-                detail, row = exc.args
-                raise ModelEvaluationError(level, int(part[row]), detail) from None
+        lanes = normal_lanes(seeds, 2 * spec.forcing.n_k).T
+        T = spec.time_horizon
+        out = np.empty((len(levels), seeds.size))
+        for row, n in enumerate(cells):
+            modes = _forcing_modes(spec, n)
+            for tile in _tiles(seeds.size, n):
+                f = _forcing(lanes[:, tile], modes)
+                try:
+                    out[row, tile] = _burgers_integrate(
+                        np.zeros_like(f), f, spec.domain_length / n, spec.viscosity, T, 0.5 * T
+                    )[0]
+                except _BlowUp as exc:
+                    detail, blown = exc.args
+                    seed = int(seeds[tile][blown])
+                    raise ModelEvaluationError(levels[row], seed, detail) from None
         return out
 
 

@@ -1,10 +1,10 @@
 """End-to-end acceptance gate.
 
-Eight binding checks covering the full surface: golden planning tables,
+Seven binding checks covering the full surface: golden planning tables,
 error-bound multipliers, parameter-estimation round trips, oracle
 bracketing on the GBM testbed, inter-level variance decay on both solver
-testbeds, load savings against the classical baseline, the random
-topography field's statistical law, and byte-level run determinism.
+testbeds, load savings against the classical baseline, and byte-level run
+determinism.
 Expected values are frozen; tolerances are pinned next to each assert.
 """
 
@@ -17,16 +17,9 @@ import pytest
 
 from mlmckit.cli import main
 from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
-from mlmckit.models import (
-    BurgersModel,
-    GBMModel,
-    TopographySpec,
-    evaluate_topography,
-    sample_topography,
-)
+from mlmckit.models import BurgersModel, GBMModel, TwoScaleModel
 from mlmckit.planner import LevelPlan, plan_for_strategy
 from mlmckit.stats import SolutionParameters, estimate_fine_error, unbiased_variance
-from mlmckit.models import TwoScaleModel
 
 BENCH = SolutionParameters(delta=7.36e7, e=9.60e6, alpha=1.07, sigma=1.0)
 
@@ -174,45 +167,7 @@ def test_multilevel_saves_load_at_matched_accuracy():
 
 
 # ---------------------------------------------------------------------------
-# 7. random topography field statistics
-# ---------------------------------------------------------------------------
-
-def test_topography_field_statistical_law():
-    spec = TopographySpec()
-    assert spec.coefficient_count == 578
-
-    # vanishing on the meridional boundaries: 100 probes x 100 seeds
-    rng = np.random.default_rng(12345)
-    xs = rng.uniform(0.0, spec.Lx, size=100)
-    for seed in range(100):
-        sample = sample_topography(spec, seed)
-        south = evaluate_topography(sample, xs, np.zeros_like(xs))
-        north = evaluate_topography(sample, xs, np.full_like(xs, spec.Ly))
-        assert np.all(south == 0.0)
-        assert np.max(np.abs(north)) < 1e-9  # sin(l pi) float residue only
-
-    # pointwise Monte Carlo mean at 10 probes: zero within 4 sigma / sqrt(N)
-    n = 10_000
-    probe_x = (np.arange(10) + 0.5) * spec.Lx / 10.0
-    probe_y = (np.arange(10) + 0.5) * spec.Ly / 10.0
-    acc = np.zeros(10)
-    for seed in range(n):
-        acc += evaluate_topography(sample_topography(spec, seed), probe_x, probe_y)
-    mean = acc / n
-    for j in range(10):
-        sd = math.sqrt(
-            sum(
-                (spec.H / (k * k + l * l)) ** 2
-                * math.sin(math.pi * l * probe_y[j] / spec.Ly) ** 2
-                for k in range(spec.k_range[0], spec.k_range[1] + 1)
-                for l in range(spec.l_range[0], spec.l_range[1] + 1)
-            )
-        )
-        assert abs(mean[j]) <= 4.0 * sd / math.sqrt(n)
-
-
-# ---------------------------------------------------------------------------
-# 8. byte-identical reports across worker counts
+# 7. byte-identical reports across worker counts
 # ---------------------------------------------------------------------------
 
 def test_reports_byte_identical_for_any_worker_count(tmp_path):

@@ -5,8 +5,12 @@ implementation of ``normal_lanes`` and the GBM batch path.  Any rewrite of
 those kernels (in-place arithmetic, tiling, a different batch size) must
 leave every bit of the output unchanged.  1000 seeds is deliberately not a
 multiple of the GBM tile, so a partial last tile is covered.  The Burgers
-digests were computed with the scalar stepper, one seed at a time; the
-batched stepper must reproduce them.
+integrator digests were computed with the scalar stepper, one seed at a
+time, and the per-seed ``default_rng`` forcing that preceded the counter
+lanes; the batched stepper must reproduce them from that forcing.  The
+Burgers ``evaluate_many`` digests pin the forcing drawn from counter
+lanes; they were computed one seed at a time and in one batch, with the
+same bytes.
 
 The report and sample-log digests were computed with the list-and-generator
 statistics and the ``csv.writer`` sample log; the array statistics and the
@@ -25,7 +29,7 @@ import pytest
 from mlmckit._bits import counter_seeds, normal_lanes
 from mlmckit.cli import main
 from mlmckit.executor import pilot_estimate_parameters, run_classical_mc, run_mlmc
-from mlmckit.models import BurgersModel, GBMModel, TwoScaleModel
+from mlmckit.models import BurgersModel, BurgersSpec, GBMModel, TwoScaleModel, _burgers_integrate
 from mlmckit.planner import plan_for_strategy
 
 SEEDS = counter_seeds(2024, 0, 1000)
@@ -64,11 +68,52 @@ BURGERS_DIGESTS = {
 }
 
 
+def _generator_forcing(spec, seed, n):
+    """The Burgers forcing as it was drawn before counter lanes, a reference
+    copy: per seed, a ``default_rng`` draws a and b for every (k, l) mode,
+    k-major, l-minor, a before b, and the l-sums of the weighted draws are
+    the coefficients."""
+    f = spec.forcing
+    k = np.arange(f.k_range[0], f.k_range[1] + 1, dtype=float)
+    l = np.arange(f.l_range[0], f.l_range[1] + 1, dtype=float)
+    w = f.H / (k[:, None] ** 2 + l[None, :] ** 2)
+    draws = np.random.default_rng(seed).standard_normal(2 * k.size * l.size)
+    draws = draws.reshape(k.size, l.size, 2)
+    A = (w * draws[:, :, 0]).sum(axis=1)
+    B = (w * draws[:, :, 1]).sum(axis=1)
+    x = (np.arange(n) + 0.5) * (spec.domain_length / n)
+    phase = 2.0 * np.pi * np.outer(k, x) / spec.domain_length
+    return A @ np.cos(phase) + B @ np.sin(phase)
+
+
 @pytest.mark.parametrize("level", sorted(BURGERS_DIGESTS))
+def test_burgers_integrator_bytes_are_pinned(level):
+    # The batched stepper, driven by the first model's forcing, still gives
+    # the scalar stepper's bits.
+    spec = BurgersSpec()
+    n, T = spec.cells_at_level(level), spec.time_horizon
+    f = np.stack([_generator_forcing(spec, int(s), n) for s in SEEDS[:32]])
+    values, _ = _burgers_integrate(
+        np.zeros_like(f), f, spec.domain_length / n, spec.viscosity, T, 0.5 * T
+    )
+    assert values.shape == (32,)
+    assert _digest(values) == BURGERS_DIGESTS[level]
+
+
+# The forcing drawn from 2 n_k counter lanes per seed.
+BURGERS_LANE_DIGESTS = {
+    1: "a9e70d8ef2e23bdfd58da059dcd976521dacc25bb7981d5b8828cfbb8fea3196",
+    2: "f39d978bf28e1ed396700db3d91409b91cbca00e25ae9347604b0bf4d4d96fbf",
+    3: "f7fa87a73e187bd320658000881adf9eeead2389933a116cbf826c7e5047355d",
+    4: "d5102642e7700fd9762aeb1ffdf21094126594a061f3730dea0cae42e56d2873",
+}
+
+
+@pytest.mark.parametrize("level", sorted(BURGERS_LANE_DIGESTS))
 def test_burgers_evaluate_many_bytes_are_pinned(level):
     values = BurgersModel().evaluate_many(level, SEEDS[:32])
     assert values.shape == (32,)
-    assert _digest(values) == BURGERS_DIGESTS[level]
+    assert _digest(values) == BURGERS_LANE_DIGESTS[level]
 
 
 def _report_digest(report):

@@ -14,116 +14,25 @@ import pytest
 import mlmckit
 from mlmckit import _bits
 from mlmckit._bits import counter_seeds, normal_lanes
-from mlmckit.executor import ModelEvaluationError, run_classical_mc
+from mlmckit.executor import ModelEvaluationError, run_classical_mc, run_mlmc
 from mlmckit.models import (
     BurgersModel,
     BurgersSpec,
     GBMModel,
     GBMSpec,
-    TopographySample,
     TopographySpec,
     TwoScaleModel,
     _burgers_integrate,
+    _forcing,
+    _forcing_modes,
     _increments,
-    burgers_forcing_profile,
-    evaluate_topography,
     model_from_config,
-    sample_topography,
-    write_topography_csv,
 )
+from mlmckit.planner import LevelPlan, StrategyId
 
 # ---------------------------------------------------------------------------
-# random-field topography
+# the forcing spectrum's config
 # ---------------------------------------------------------------------------
-
-def test_default_spectrum_has_578_coefficients():
-    spec = TopographySpec()
-    assert spec.n_k == 17
-    assert spec.n_l == 17
-    assert spec.coefficient_count == 578
-
-
-def test_draw_order_is_frozen():
-    # First five standard-normal draws of generator seed 0, mapped k-major,
-    # l-minor, cos-before-sin.  Pinned so stored fields stay reproducible.
-    s = sample_topography(TopographySpec(), 0)
-    assert s.a[0, 0] == 0.1257302210933933
-    assert s.b[0, 0] == -0.1321048632913019
-    assert s.a[0, 1] == 0.6404226504432821
-    assert s.b[0, 1] == 0.10490011715303971
-    assert s.a[0, 2] == -0.535669373161111
-    assert s.a.shape == (17, 17)
-    assert s.b.shape == (17, 17)
-
-
-def test_same_seed_same_field():
-    spec = TopographySpec()
-    f1 = evaluate_topography(sample_topography(spec, 7), 1.0e5, 2.0e5)
-    f2 = evaluate_topography(sample_topography(spec, 7), 1.0e5, 2.0e5)
-    assert f1 == f2
-
-
-def test_field_vanishes_on_meridional_boundaries():
-    spec = TopographySpec()
-    xs = np.linspace(0.0, spec.Lx, 50)
-    for seed in (0, 1, 2):
-        sample = sample_topography(spec, seed)
-        south = evaluate_topography(sample, xs, np.zeros_like(xs))
-        north = evaluate_topography(sample, xs, np.full_like(xs, spec.Ly))
-        assert np.all(south == 0.0)  # sin(0) is exact
-        # sin(l pi) is only zero up to float pi truncation; the residue is
-        # ~1e-13 against field values of order 30.
-        assert np.max(np.abs(north)) < 1e-9
-
-
-def test_single_mode_closed_form():
-    spec = TopographySpec(H=1.0, Lx=2.0, Ly=2.0, k_range=(4, 4), l_range=(4, 4))
-    sample = TopographySample(spec=spec, a=np.array([[1.0]]), b=np.array([[0.0]]))
-    # weight H/(k^2+l^2) = 1/32; cos(0) = 1; sin(4 pi (Ly/8) / Ly) = sin(pi/2)
-    assert evaluate_topography(sample, 0.0, spec.Ly / 8.0) == 0.03125
-    # phase 2 pi k x / Lx: an eighth of the k=4 period zeroes the cos factor,
-    # a sixteenth gives cos(pi/4)
-    assert evaluate_topography(sample, spec.Lx / 16.0, spec.Ly / 8.0) == pytest.approx(
-        0.0, abs=1e-15
-    )
-    assert evaluate_topography(sample, spec.Lx / 32.0, spec.Ly / 8.0) == pytest.approx(
-        0.03125 * math.cos(math.pi / 4.0), rel=1e-12
-    )
-
-
-def _analytic_pointwise_std(spec, y):
-    # Independent oracle: coefficients are i.i.d. standard normal, so the
-    # field value at a point is a zero-mean normal whose variance sums
-    # weight^2 * sin^2 over all modes (cos^2 + sin^2 collapses the x part).
-    total = 0.0
-    for k in range(spec.k_range[0], spec.k_range[1] + 1):
-        for l in range(spec.l_range[0], spec.l_range[1] + 1):
-            w = spec.H / (k * k + l * l)
-            total += w * w * math.sin(math.pi * l * y / spec.Ly) ** 2
-    return math.sqrt(total)
-
-
-def test_pointwise_moments_match_analytic_law():
-    spec = TopographySpec()
-    probe_x = np.array([0.3e6, 1.1e6, 1.7e6])
-    probe_y = np.array([0.4e6, 0.9e6, 1.5e6])
-    n = 1200
-    vals = np.empty((n, 3))
-    for seed in range(n):
-        vals[seed] = evaluate_topography(sample_topography(spec, seed), probe_x, probe_y)
-    for j in range(3):
-        sd = _analytic_pointwise_std(spec, probe_y[j])
-        assert abs(vals[:, j].mean()) <= 4.0 * sd / math.sqrt(n)
-        assert vals[:, j].std(ddof=1) == pytest.approx(sd, rel=0.10)
-
-
-def test_domain_validation():
-    sample = sample_topography(TopographySpec(), 0)
-    with pytest.raises(ValueError):
-        evaluate_topography(sample, -1.0, 0.0)
-    with pytest.raises(ValueError):
-        evaluate_topography(sample, 0.0, 1e12)
-
 
 def test_spec_validation_and_round_trip():
     with pytest.raises(ValueError):
@@ -134,6 +43,7 @@ def test_spec_validation_and_round_trip():
         TopographySpec(l_range=(0, 4))
     spec = TopographySpec(H=250.0, k_range=(2, 6))
     assert TopographySpec(**{"H": 250.0, "k_range": [2, 6]}) == spec
+    assert (TopographySpec().n_k, spec.n_k) == (17, 5)
 
 
 @pytest.mark.parametrize(
@@ -145,23 +55,6 @@ def test_topography_spec_rejects_non_finite_and_boolean_values(field, bad):
     # H=nan passed "H < 0", Lx=inf passed "Lx > 0", and True counted as 1.
     with pytest.raises(ValueError, match=field):
         TopographySpec(**{field: bad})
-
-
-def test_csv_dump(tmp_path):
-    spec = TopographySpec()
-    sample = sample_topography(spec, 3)
-    path = tmp_path / "topo.csv"
-    write_topography_csv(sample, path, nx=5, ny=4)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,y,height"
-    assert len(lines) == 1 + 5 * 4
-    # x-major ordering: the first ny rows share x = 0
-    first = [ln.split(",") for ln in lines[1:5]]
-    assert all(row[0] == "0.0" for row in first)
-    assert float(first[0][2]) == 0.0  # y = 0 boundary
-    # spot value agrees with direct evaluation (up to BLAS batching ulps)
-    x, y, h = (float(v) for v in lines[7].split(","))
-    assert evaluate_topography(sample, x, y) == pytest.approx(h, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +220,48 @@ def test_burgers_spec_rejects_non_finite_and_boolean_values(field, bad):
         BurgersSpec(**{field: bad})
 
 
+def _forcing_amplitudes(f):
+    # (k, s_k) with s_k = sqrt(sum_l w_kl^2), by a scalar loop over the weights.
+    ls = range(f.l_range[0], f.l_range[1] + 1)
+    return [
+        (k, math.sqrt(sum((f.H / (k * k + l * l)) ** 2 for l in ls)))
+        for k in range(f.k_range[0], f.k_range[1] + 1)
+    ]
+
+
 def test_burgers_forcing_profile_matches_direct_sum():
-    spec = BurgersSpec()
-    n = 16
-    got = burgers_forcing_profile(spec, 5, n)
-    f = spec.forcing
-    sample = sample_topography(f, 5)
+    spec = BurgersSpec(cells_at_finest=16, max_level=1)
+    f, n, seed = spec.forcing, 16, 5
+    z = normal_lanes(np.asarray([seed], dtype=np.uint64), 2 * f.n_k)[0]
+    got = _forcing(z[:, None], _forcing_modes(spec, n))[0]
     oracle = np.zeros(n)
     for i in range(n):
         x = (i + 0.5) / n * spec.domain_length
-        acc = 0.0
-        for ik, k in enumerate(range(f.k_range[0], f.k_range[1] + 1)):
-            for il, l in enumerate(range(f.l_range[0], f.l_range[1] + 1)):
-                w = f.H / (k * k + l * l)
-                acc += w * sample.a[ik, il] * math.cos(2.0 * math.pi * k * x)
-                acc += w * sample.b[ik, il] * math.sin(2.0 * math.pi * k * x)
-        oracle[i] = acc
+        for j, (k, s) in enumerate(_forcing_amplitudes(f)):
+            phase = 2.0 * math.pi * k * x
+            oracle[i] += s * (z[j] * math.cos(phase) + z[f.n_k + j] * math.sin(phase))
     assert np.allclose(got, oracle, rtol=1e-12, atol=1e-12)
+    # It is the forcing the model integrates.
+    T = spec.time_horizon
+    qoi, _ = _burgers_integrate(np.zeros((1, n)), got[None], 1.0 / n, spec.viscosity, T, 0.5 * T)
+    assert BurgersModel(spec).evaluate_many(1, [seed]).tobytes() == qoi.tobytes()
+
+
+def test_burgers_forcing_coefficients_follow_the_law():
+    # A_k = s_k z_k and B_k = s_k z'_k are N(0, s_k^2), the law of the sum
+    # over l of w_kl times a standard normal each.  The coefficients are
+    # read back from the forcing on 32 cells by discrete Fourier projection.
+    spec = BurgersSpec(cells_at_finest=32, max_level=1)
+    f, n, count = spec.forcing, 32, 4096
+    lanes = normal_lanes(counter_seeds(9, 0, count), 2 * f.n_k).T
+    field = _forcing(lanes, _forcing_modes(spec, n))
+    x = (np.arange(n) + 0.5) / n
+    for k, s in _forcing_amplitudes(f):
+        for basis in (np.cos(2.0 * np.pi * k * x), np.sin(2.0 * np.pi * k * x)):
+            coef = field @ basis * (2.0 / n)
+            var = coef.var(ddof=1)
+            assert abs(coef.mean()) <= 4.0 * s / math.sqrt(count)
+            assert abs(var - s * s) <= 4.0 * s * s * math.sqrt(2.0 / (count - 1))
 
 
 def test_burgers_zero_forcing_stays_at_rest():
@@ -385,8 +303,8 @@ def test_burgers_qoi_is_positive_and_coupled():
 
 
 def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
-    # 13 of these 64 seeds blow up.  Index 2 blows up at t = 0.225 and index
-    # 4 earlier, at t = 0.1875: a batch names its first blown seed in seed
+    # 24 of these 64 seeds blow up.  Index 3 blows up at t = 0.2625 and index
+    # 15 earlier, at t = 0.1625: a batch names its first blown seed in seed
     # order, not the first to blow up in time, whether the two share a tile
     # (the default: 2048 seeds at 32 cells) or not (3 seeds).
     forcing = TopographySpec(H=20.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
@@ -398,8 +316,8 @@ def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
             model.evaluate_many(1, seeds[i : i + 1])
         except ModelEvaluationError as exc:
             blown_at[i] = str(exc).rsplit("t=", 1)[1]
-    assert len(blown_at) == 13 and min(blown_at) == 2
-    assert (blown_at[2], blown_at[4]) == ("0.225", "0.1875")
+    assert len(blown_at) == 24 and min(blown_at) == 3
+    assert (blown_at[3], blown_at[15]) == ("0.2625", "0.1625")
     for tile in (_bits._TILE, 3 * 32):
         monkeypatch.setattr(_bits, "_TILE", tile)
         for workers in (1, 2):
@@ -407,7 +325,30 @@ def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ModelEvaluationError, match="blew up") as exc:
                     run_classical_mc(model, 1, 64, base_seed=0, workers=workers)
-            assert (exc.value.level, exc.value.seed) == (1, int(seeds[2]))
+            assert (exc.value.level, exc.value.seed) == (1, int(seeds[3]))
+
+
+@pytest.mark.parametrize(
+    "base_seed, level, index",
+    [
+        # Of the first 1024 seeds, 7 blow up on 8 cells and none on 16.
+        (1, 2, 41),
+        # 15 blow up on 8 cells, the first at index 2, and 2 on 16 cells,
+        # at indices 235 and 474.
+        (11, 1, 235),
+    ],
+)
+def test_burgers_two_level_chunk_names_the_lowest_failing_level(base_seed, level, index):
+    # Term 1 of this plan runs levels 1 and 2 of seeds 0-1023 in two chunks
+    # of 512; one evaluate_levels call draws both levels' forcing at once.
+    forcing = TopographySpec(H=12.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+    spec = BurgersSpec(cells_at_finest=16, max_level=2, time_horizon=0.5, forcing=forcing)
+    plan = LevelPlan(StrategyId.S1, (1024, 1), 3.0, None)
+    seeds = counter_seeds(base_seed, 0, 1024)
+    for workers in (1, 2):
+        with pytest.raises(ModelEvaluationError, match="blew up") as exc:
+            run_mlmc(BurgersModel(spec), plan, base_seed=base_seed, workers=workers)
+        assert (exc.value.level, exc.value.seed) == (level, int(seeds[index]))
 
 
 def test_burgers_working_set_is_one_tile():
