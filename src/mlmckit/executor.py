@@ -52,7 +52,9 @@ A raised error is traced to its seed by halving the chunk at each level in
 turn, in O(log chunk) calls (see :func:`_evaluate_chunk`).  Once a chunk
 fails no further chunk is handed out; the lowest failing chunk is raised
 after every chunk before it has finished.  Chunks are cut by sample count alone, so the error does
-not depend on the worker count.
+not depend on the worker count.  Statistics that overflow a float (a
+term's mean or variance, their sums over terms, or the pilot's variances)
+raise :class:`DegenerateModelError` naming the terms or the pilot.
 """
 
 import math
@@ -60,7 +62,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -110,7 +112,17 @@ class ModelEvaluationError(RuntimeError):
 
 
 class DegenerateModelError(ValueError):
-    """Pilot statistics unusable for planning (e.g. zero variance)."""
+    """Statistics unusable: a pilot that cannot plan (e.g. zero variance),
+    or a pilot's or run's statistics that overflow a float."""
+
+
+@contextmanager
+def _no_overflow(what):
+    """Raise an OverflowError of ``what``'s statistics as DegenerateModelError."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise DegenerateModelError(f"{what} statistics overflow a float: {exc}") from exc
 
 
 class QoIModel(ABC):
@@ -361,7 +373,8 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
             if sample_log_path is not None:
                 seeds = counter_seeds(base_seed, start, count)
                 log_terms.append((term, seeds, dict(zip(levels, rows))))
-            stats.append(_term_stats(term, values))
+            with _no_overflow(f"term {term}"):
+                stats.append(_term_stats(term, values))
             seed_ledger.append(
                 {
                     "term_index": term,
@@ -379,11 +392,14 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     if sample_log_path is not None:
         _write_sample_log(sample_log_path, log_terms)
     term_stats = tuple(stats)
+    with _no_overflow(f"terms 1-{len(term_stats)}"):
+        estimate = math.fsum(t.mean for t in term_stats)
+        std_error = _std_error(term_stats)
     return RunReport(
         plan=plan,
         term_stats=term_stats,
-        estimate=math.fsum(t.mean for t in term_stats),
-        estimated_std_error=_std_error(term_stats),
+        estimate=estimate,
+        estimated_std_error=std_error,
         realized_load=load(plan.M, term_levels),
         wall_time=time.perf_counter() - t0,
         seeds={"base_seed": base_seed, "terms": seed_ledger},
@@ -451,9 +467,10 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
             model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )
 
-    var_12 = unbiased_variance(d12)
-    var_23 = unbiased_variance(u2 - u3)
-    var_u = unbiased_variance(u2)
+    with _no_overflow("pilot"):
+        var_12 = unbiased_variance(d12)
+        var_23 = unbiased_variance(u2 - u3)
+        var_u = unbiased_variance(u2)
     if var_12 == 0.0 or var_23 == 0.0 or var_u == 0.0:
         raise DegenerateModelError(
             "pilot variance is zero: a deterministic (or exactly coupled) "

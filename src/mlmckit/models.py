@@ -267,17 +267,14 @@ def _forcing(lanes, modes):
     return f
 
 
-class _BlowUp(ValueError):
-    """A row of a Burgers batch blew up; ``args`` are (detail, row)."""
-
-
-def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False):
+def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from):
     """March the semi-discrete system and time-average mean(u^2) over
-    [avg_from, time_horizon].  Returns (qoi, history or None).
+    [avg_from, time_horizon].  Returns (qoi, blown).
 
     ``u`` is n cells, or (B, n) rows each driven by its row of ``f``.  A row
     whose max |u| passes the cap or is not finite is zeroed with its forcing
-    and stays at rest; after the last step the first such row raises _BlowUp.
+    and stays at rest.  ``blown`` is (2,) or (2, B): each row's max |u| and
+    time t at blow-up, both NaN for a row that stayed under the cap.
     """
     dt = _CFL * min(dx * dx / (2.0 * viscosity), dx / _U_CAP)
     steps = max(1, math.ceil(time_horizon / dt))
@@ -286,8 +283,7 @@ def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False
     inv_dx2 = inv_dx * inv_dx
 
     acc = 0.0
-    blown = np.full((2,) + np.shape(u)[:-1], np.nan)  # (max |u|, t) at blow-up
-    history = [] if record else None
+    blown = np.full((2,) + np.shape(u)[:-1], np.nan)
     t = 0.0
     for _ in range(steps):
         um = np.roll(u, 1, axis=-1)
@@ -304,18 +300,11 @@ def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from, record=False
             blown = np.where(bad, [peak, np.full_like(peak, t_new)], blown)
             u, f = np.where(bad[..., None], 0.0, [u, f])
         mean_sq = np.mean(u * u, axis=-1)
-        if record:
-            history.append(mean_sq)
         overlap = min(t_new, time_horizon) - max(t, avg_from)
         if overlap > 0.0:
             acc += overlap * mean_sq
         t = t_new
-    for row, (peak, t_blown) in enumerate(blown.reshape(2, -1).T):
-        if not math.isnan(t_blown):
-            detail = f"solution blew up (max |u| = {peak:.4g} vs cap {_U_CAP}) at t={t_blown:.4g}"
-            raise _BlowUp(detail, row)
-    qoi = acc / (time_horizon - avg_from)
-    return qoi, history
+    return acc / (time_horizon - avg_from), blown
 
 
 class BurgersModel(QoIModel):
@@ -348,14 +337,16 @@ class BurgersModel(QoIModel):
             modes = _forcing_modes(spec, n)
             for tile in _tiles(seeds.size, n):
                 f = _forcing(lanes[:, tile], modes)
-                try:
-                    out[row, tile] = _burgers_integrate(
-                        np.zeros_like(f), f, spec.domain_length / n, spec.viscosity, T, 0.5 * T
-                    )[0]
-                except _BlowUp as exc:
-                    detail, blown = exc.args
-                    seed = int(seeds[tile][blown])
-                    raise ModelEvaluationError(levels[row], seed, detail) from None
+                out[row, tile], blown = _burgers_integrate(
+                    np.zeros_like(f), f, spec.domain_length / n, spec.viscosity, T, 0.5 * T
+                )
+                hit = np.flatnonzero(~np.isnan(blown[1]))
+                if hit.size:
+                    peak, t = blown[:, hit[0]]
+                    raise ModelEvaluationError(
+                        levels[row], int(seeds[tile][hit[0]]),
+                        f"solution blew up (max |u| = {peak:.4g} vs cap {_U_CAP}) at t={t:.4g}",
+                    )
         return out
 
 

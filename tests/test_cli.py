@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
+from mlmckit import models
 from mlmckit.cli import RunConfig, main
 
 BENCH_FLAGS = ["--delta", "7.36e7", "--err", "9.60e6", "--alpha", "1.07"]
@@ -134,6 +136,26 @@ def test_pilot_degenerate_model_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, S0, what",
+    [
+        (["run", "--strategy", "mc"], 1e308, "term 1"),  # the mean's fsum overflows
+        (["pilot"], 1e307, "pilot"),  # a squared deviation overflows
+    ],
+)
+def test_statistics_that_overflow_exit_3(tmp_path, capsys, argv, S0, what):
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {
+        "model": {"kind": "gbm", "spec": {"S0": S0}},
+        "parameters": {"delta": 1.0, "e": 0.1, "alpha": 1.0},
+        "pilot_samples": 64,
+        "workers": 1,
+    })
+    assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", "out.json"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {what} statistics overflow a float")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("command", ["pilot", "run"])
 @pytest.mark.parametrize(
     "entry",
@@ -250,6 +272,44 @@ def test_a_command_parses_its_config_once(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--seed", "3"]) == 0
     # Once to validate the config, once to run.
     assert len(built) == 2
+
+
+NO_DIR = "/nonexistent/dir/x.json"
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["plan", *BENCH_FLAGS, "--out", NO_DIR], {}),
+        (["pilot", "--out", NO_DIR], {}),
+        (["pilot", "--out", "."], {}),
+        (["run", "--out", NO_DIR], {}),
+        (["run", "--out", "."], {}),
+        (["run", "--out", ""], {}),
+        (["run", "--sample-log", NO_DIR], {}),
+        (["run"], {"out": NO_DIR}),
+        (["run"], {"log_samples": True, "sample_log": NO_DIR}),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, entries
+):
+    calls = []
+    evaluate = models.TwoScaleModel.evaluate_levels
+
+    def spy(self, levels, seeds):
+        calls.append(len(seeds))
+        return evaluate(self, levels, seeds)
+
+    monkeypatch.setattr(models.TwoScaleModel, "evaluate_levels", spy)
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", "pilot_samples": 64, **entries})
+    if argv[0] != "plan":
+        argv = [argv[0], "--config", str(cfg), *argv[1:]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert calls == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 # ---------------------------------------------------------------------------

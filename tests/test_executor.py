@@ -20,7 +20,7 @@ from mlmckit.executor import (
     run_classical_mc,
     run_mlmc,
 )
-from mlmckit.models import TwoScaleModel
+from mlmckit.models import GBMModel, GBMSpec, TwoScaleModel
 from mlmckit.planner import LevelPlan, StrategyId, plan_for_strategy
 from mlmckit.stats import SolutionParameters, unbiased_variance
 
@@ -977,6 +977,35 @@ def test_pilot_rejects_growing_differences():
     with pytest.warns(RuntimeWarning):
         with pytest.raises(DegenerateModelError):
             pilot_estimate_parameters(InvertedModel(), 64, 0)
+
+
+def test_statistics_that_overflow_are_degenerate():
+    # Finite values whose sums or squares overflow: a classical run's mean
+    # (the fsum of 64 values near 1e308) and a pilot's squared deviations.
+    with pytest.raises(DegenerateModelError, match="term 1 statistics overflow"):
+        run_classical_mc(GBMModel(GBMSpec(S0=1e308)), 1, 64, base_seed=0, workers=1)
+    with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
+        pilot_estimate_parameters(GBMModel(GBMSpec(S0=1e307)), 64, 0, workers=1)
+
+
+class SignByPositionModel(QoIModel):
+    """U_level = +-c (4 - level), the sign set by a seed's place in its batch
+    (not by the seed, which a one-chunk run does not need)."""
+
+    max_level = 3
+    c = math.sqrt(0.8e308)
+
+    def evaluate_many(self, level, seeds):
+        return self.c * (4 - level) * (1.0 - 2.0 * (np.arange(len(seeds)) % 2))
+
+
+def test_a_std_error_that_overflows_is_degenerate():
+    # Each of the three two-sample terms holds +-c, so its variance is 2 c^2
+    # and its variance / count is c^2 = 0.8e308: finite, but three of them
+    # overflow the standard error's sum.
+    plan = _plan(StrategyId.S1, (2, 2, 2))
+    with pytest.raises(DegenerateModelError, match="terms 1-3 statistics overflow"):
+        run_mlmc(SignByPositionModel(), plan, base_seed=0, workers=1)
 
 
 def test_pilot_input_validation():

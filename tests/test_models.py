@@ -272,14 +272,37 @@ def test_burgers_zero_forcing_stays_at_rest():
 
 
 def test_burgers_unforced_energy_never_grows():
-    n = 64
+    # Each step's energy mean(u^2) is the difference of two window averages
+    # times their widths: the window [t_j, T] less [t_{j+1}, T], over the
+    # step's width t_{j+1} - t_j, with t_j the integrator's own step times.
+    n, T, viscosity = 64, 0.5, 0.005
     dx = 1.0 / n
     x = (np.arange(n) + 0.5) * dx
     u0 = 0.5 * np.sin(2.0 * np.pi * x)
-    _, hist = _burgers_integrate(u0, np.zeros(n), dx, 0.005, 0.5, 0.0, record=True)
-    hist = np.asarray(hist)
-    assert np.all(np.diff(hist) <= 1e-12)
-    assert hist[-1] < hist[0]
+    steps = math.ceil(T / (0.4 * min(dx * dx / (2.0 * viscosity), dx)))
+    t = [0.0]
+    for _ in range(steps):
+        t.append(t[-1] + T / steps)
+    window = [_burgers_integrate(u0, 0.0, dx, viscosity, T, tj)[0] * (T - tj) for tj in t[:-1]]
+    window.append(0.0)
+    energy = -np.diff(window) / np.diff(t)
+    assert np.all(np.diff(energy) <= 1e-12)
+    assert energy[-1] < energy[0]
+
+
+def test_burgers_integrate_returns_each_rows_blow_up():
+    # A uniform forcing c keeps u = c t uniform: no flux, no diffusion.  At
+    # c = 10 and 16 cells, dt = 0.025, so u passes the cap at the fifth step,
+    # with max |u| = 1.25 at t = 0.125; at c = 0.1 it never does.
+    n = 16
+    f = np.stack([np.full(n, 0.1), np.full(n, 10.0)])
+    before = f.copy()
+    qoi, blown = _burgers_integrate(np.zeros_like(f), f, 1.0 / n, 0.005, 1.0, 0.5)
+    assert np.isnan(blown[:, 0]).all()
+    assert blown[:, 1] == pytest.approx([1.25, 0.125], rel=1e-12)
+    # The blown row sits at rest through the averaging window.
+    assert qoi[0] > 0.0 and qoi[1] == 0.0
+    assert np.array_equal(f, before)
 
 
 def test_burgers_blow_up_is_reported():
