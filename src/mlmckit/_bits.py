@@ -7,7 +7,6 @@ well-distributed stream.  Because the mapping is a pure function of
 worker and yield identical bits.
 """
 
-import functools
 import threading
 
 import numpy as np
@@ -108,14 +107,6 @@ def counter_seeds(base_seed, start, count):
     return _mix64_array(states)
 
 
-@functools.lru_cache(maxsize=64)
-def _lane_offsets(n):
-    """GOLDEN * (j+1) for lanes j < n, as a read-only uint64 array."""
-    lanes = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    lanes.flags.writeable = False
-    return lanes
-
-
 def normal_lanes(seeds, n, out=None):
     """(len(seeds), n) i.i.d. standard normals, one splitmix64 stream per seed.
 
@@ -143,7 +134,7 @@ def normal_lanes(seeds, n, out=None):
             f"out must be a float64 array of shape {(seeds.size, n)}, "
             f"got {out.dtype} {out.shape}"
         )
-    lanes = _lane_offsets(n)[:, None]
+    lanes = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN))[:, None]
     for tile in _tiles(seeds.size, n):
         part = seeds[tile]
         h = scratch("lanes", n * part.size, np.uint64).reshape(n, part.size)

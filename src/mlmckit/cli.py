@@ -6,8 +6,10 @@ statistics or run statistics that overflow a float, 4 model evaluation
 failure, 5 malformed report file.
 
 Every command is deterministic given its flags and base seed; rerunning
-writes byte-identical JSON.  Wall-clock timing is printed to the console
-only, never into the deterministic payload.
+writes byte-identical JSON.  ``run`` writes the per-evaluation CSV sample
+log only to a ``sample_log`` path, named in the config or by
+``--sample-log``; there is no separate switch.  Wall-clock timing is
+printed to the console only, never into the deterministic payload.
 """
 
 import argparse
@@ -107,7 +109,8 @@ class RunConfig:
 
     The plan is either embedded (``plan``), derived from explicit
     ``parameters``, or computed inline from a pilot of ``pilot_samples``
-    realizations when neither is present.
+    realizations when neither is present.  A ``sample_log`` path turns the
+    CSV sample log on.
     """
 
     model: dict
@@ -118,8 +121,7 @@ class RunConfig:
     base_seed: int = 0
     classical_level: int = 1
     workers: Optional[int] = None
-    log_samples: bool = False
-    sample_log: str = "samples.csv"
+    sample_log: Optional[str] = None
     out: str = "report.json"
 
     @classmethod
@@ -168,8 +170,9 @@ class RunConfig:
             if getattr(self, key) is not None:
                 setattr(self, key, _whole(key, getattr(self, key), low, None))
         for key in ("sample_log", "out"):
-            if not isinstance(getattr(self, key), str):
-                raise _UsageError(f"{key} must be a path, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not (isinstance(value, str) or key == "sample_log" and value is None):
+                raise _UsageError(f"{key} must be a path, got {value!r}")
 
 
 def _load_config(path, overrides):
@@ -277,11 +280,8 @@ def cmd_run(args):
         "workers": args.workers,
         "sample_log": args.sample_log,
     }
-    if args.log_samples or args.sample_log is not None:
-        overrides["log_samples"] = True
     cfg = _load_config(args.config, overrides)
-    log_path = cfg.sample_log if cfg.log_samples else None
-    _check_writable(cfg.out, log_path)
+    _check_writable(cfg.out, cfg.sample_log)
     model = model_from_config(cfg.model)
 
     plan = _resolve_plan(cfg, model)
@@ -292,13 +292,13 @@ def cmd_run(args):
             plan.M[0],
             cfg.base_seed,
             workers=cfg.workers,
-            sample_log_path=log_path,
+            sample_log_path=cfg.sample_log,
         )
         if plan.inputs is not None:
             report = replace(report, plan=plan)
     else:
         report = run_mlmc(
-            model, plan, cfg.base_seed, workers=cfg.workers, sample_log_path=log_path
+            model, plan, cfg.base_seed, workers=cfg.workers, sample_log_path=cfg.sample_log
         )
 
     print(
@@ -310,8 +310,8 @@ def cmd_run(args):
     print(f"wall time: {report.wall_time:.3f}s")
     _write_json(cfg.out, report.to_json_dict())
     print(f"wrote {cfg.out}")
-    if log_path is not None:
-        print(f"wrote {log_path}")
+    if cfg.sample_log is not None:
+        print(f"wrote {cfg.sample_log}")
     return EXIT_OK
 
 
@@ -414,10 +414,9 @@ def build_parser():
         help="worker threads, the caller included (default: usable CPUs; 1 is serial)",
     )
     p_run.add_argument(
-        "--log-samples", action="store_true", dest="log_samples",
-        help="write the per-evaluation CSV log",
+        "--sample-log", default=None, dest="sample_log",
+        help="write the per-evaluation CSV log to this path (overrides the config's)",
     )
-    p_run.add_argument("--sample-log", default=None, dest="sample_log", help="CSV log path")
     p_run.set_defaults(func=cmd_run)
 
     p_rep = sub.add_parser("report", help="summarize report files side by side")

@@ -54,7 +54,10 @@ fails no further chunk is handed out; the lowest failing chunk is raised
 after every chunk before it has finished.  Chunks are cut by sample count alone, so the error does
 not depend on the worker count.  Statistics that overflow a float (a
 term's mean or variance, their sums over terms, or the pilot's variances)
-raise :class:`DegenerateModelError` naming the terms or the pilot.
+raise :class:`DegenerateModelError` naming the terms or the pilot.  So does
+a coupled difference of two finite values that overflows: it names its two
+levels and its seed, and a chunk's is checked in that chunk, under the same
+first-failing-chunk rule.
 """
 
 import math
@@ -113,7 +116,8 @@ class ModelEvaluationError(RuntimeError):
 
 class DegenerateModelError(ValueError):
     """Statistics unusable: a pilot that cannot plan (e.g. zero variance),
-    or a pilot's or run's statistics that overflow a float."""
+    or a pilot's or run's coupled differences or statistics that overflow a
+    float."""
 
 
 @contextmanager
@@ -256,6 +260,21 @@ def _evaluate_chunk(model, levels, seeds):
     return out
 
 
+def _difference(what, fine, coarse, base_seed, start):
+    """``fine - coarse`` of the samples of counters ``start`` onwards.
+
+    Two finite values can differ by more than a float holds; the first
+    such sample raises DegenerateModelError naming ``what`` and its seed.
+    """
+    with np.errstate(over="ignore"):
+        diff = fine - coarse
+    finite = np.isfinite(diff)
+    if not finite.all():
+        seed = counter_seeds(base_seed, start + int(np.argmin(finite)), 1)[0]
+        raise DegenerateModelError(f"{what} coupled difference overflows a float at seed {seed}")
+    return diff
+
+
 def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=False):
     """Evaluate ``count`` realizations, counters ``start`` onwards, at ``levels``.
 
@@ -267,7 +286,8 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     up to ``helpers`` threads of ``pool`` take chunk indices in sample
     order from one shared counter.  Each chunk derives its own seeds,
     evaluates them at every level through :func:`_evaluate_chunk` and
-    writes its slice of ``values``.  A failing chunk is recorded by index
+    writes its slice of ``values``; a coupled difference that overflows
+    raises :class:`DegenerateModelError`.  A failing chunk is recorded by index
     and stops the hand-out; the lowest one is raised once every thread has
     finished its chunk.
     """
@@ -284,7 +304,11 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
         seeds = counter_seeds(base_seed, start + i, min(size, count - i))
         done = slice(i, i + len(seeds))
         out = _evaluate_chunk(model, levels, seeds)
-        values[done] = out[0] - out[1] if len(levels) > 1 else out[0]
+        if len(levels) > 1:
+            what = f"levels {levels[0]}-{levels[1]}"
+            values[done] = _difference(what, out[0], out[1], base_seed, start + i)
+        else:
+            values[done] = out[0]
         if keep:
             rows[:, done] = out
 
@@ -467,9 +491,10 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
             model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )
 
+    d23 = _difference("pilot levels 2-3", u2, u3, pilot_base, 0)
     with _no_overflow("pilot"):
         var_12 = unbiased_variance(d12)
-        var_23 = unbiased_variance(u2 - u3)
+        var_23 = unbiased_variance(d23)
         var_u = unbiased_variance(u2)
     if var_12 == 0.0 or var_23 == 0.0 or var_u == 0.0:
         raise DegenerateModelError(

@@ -10,7 +10,6 @@ error.  Every draw comes from the seed's counter lanes
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -136,25 +135,25 @@ class GBMModel(QoIModel):
 class TopographySpec:
     """The Burgers forcing's spectrum, from a random-topography recipe.
 
-    Modes k (zonal, full periods over Lx) and l (meridional) each run over
-    an inclusive integer interval, and mode (k, l) weighs H/(k^2 + l^2).
-    In one dimension the l-sum collapses: zonal mode k has amplitude
-    s_k = sqrt(sum_l w_kl^2) (see :func:`_forcing_modes`).  ``Ly`` is
-    validated but does not enter the 1-D forcing.
+    The law is the paper's random topography (H = 500 m over a 2000 x 1733
+    km basin, modes 4-20 each way): modes k (zonal) and l (meridional) each
+    run over an inclusive integer interval, and mode (k, l) weighs
+    H/(k^2 + l^2).  In one dimension the l-sum collapses: zonal mode k has
+    amplitude s_k = sqrt(sum_l w_kl^2), with k full periods over the
+    model's ``domain_length`` (see :func:`_forcing_modes`).  The defaults
+    are the Burgers band: its top, k = 6, keeps every mode resolved on the
+    default coarsest grid (32 cells); higher bands alias on coarse grids
+    and stall inter-level convergence.
     """
 
-    H: float = 500.0
-    Lx: float = 2_000_000.0
-    Ly: float = 1_733_000.0
-    k_range: tuple = (4, 20)
+    H: float = 5.0
+    k_range: tuple = (2, 6)
     l_range: tuple = (4, 20)
 
     def __post_init__(self):
         _finite("H", self.H)
         if self.H < 0:
             raise ValueError(f"H must be >= 0, got {self.H}")
-        for name in ("Lx", "Ly"):
-            _finite(name, getattr(self, name), positive=True)
         for name in ("k_range", "l_range"):
             lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
             if hi < lo:
@@ -175,8 +174,9 @@ class BurgersSpec:
     """Periodic viscous Burgers driven by a frozen random Fourier force.
 
     The forcing is f(x) = sum_k s_k (z_k cos(2 pi k x / L) + z'_k sin(2 pi
-    k x / L)), with z and z' the seed's 2 n_k counter lanes and s_k the
-    amplitudes of ``forcing``.  It is drawn once per seed and sampled at
+    k x / L)), with L the ``domain_length``, z and z' the seed's 2 n_k
+    counter lanes and s_k the amplitudes of ``forcing``; a null ``forcing``
+    in a config is the default one.  It is drawn once per seed and sampled at
     each grid's cell centers, so every level sees the same continuous
     forcing field.  The QoI is the time-averaged spatial mean of u^2 over
     the second half of the horizon.  First-order Godunov upwinding for the
@@ -189,33 +189,13 @@ class BurgersSpec:
     cells_at_finest: int = 256
     time_horizon: float = 2.0
     max_level: int = 4
-    forcing: Optional[TopographySpec] = None
+    forcing: TopographySpec = TopographySpec()
 
     def __post_init__(self):
         for name in ("viscosity", "domain_length", "time_horizon"):
             _finite(name, getattr(self, name), positive=True)
         for name in ("cells_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
-        if self.forcing is None:
-            # Default band tops out at k=6 so the default coarsest grid
-            # (32 cells) still resolves every forcing mode; higher bands
-            # alias on coarse grids and stall inter-level convergence.
-            object.__setattr__(
-                self,
-                "forcing",
-                TopographySpec(
-                    H=5.0,
-                    Lx=self.domain_length,
-                    Ly=self.domain_length,
-                    k_range=(2, 6),
-                    l_range=(4, 20),
-                ),
-            )
-        if self.forcing.Lx != self.domain_length:
-            raise ValueError(
-                f"forcing period Lx={self.forcing.Lx} must equal "
-                f"domain_length={self.domain_length} (periodic forcing)"
-            )
         halvings = 2 ** (self.max_level - 1)
         if self.cells_at_finest % halvings != 0 or self.cells_at_finest // halvings < 4:
             raise ValueError(
@@ -230,8 +210,9 @@ class BurgersSpec:
     @classmethod
     def from_json_dict(cls, d):
         out = dict(d)
-        if out.get("forcing") is not None:
-            out["forcing"] = TopographySpec(**out["forcing"])
+        forcing = out.pop("forcing", None)
+        if forcing is not None:
+            out["forcing"] = TopographySpec(**forcing)
         return cls(**out)
 
 

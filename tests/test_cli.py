@@ -2,10 +2,12 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
-from mlmckit import models
+from mlmckit import cli, models
 from mlmckit.cli import RunConfig, main
+from mlmckit.executor import QoIModel
 
 BENCH_FLAGS = ["--delta", "7.36e7", "--err", "9.60e6", "--alpha", "1.07"]
 
@@ -167,7 +169,8 @@ def test_statistics_that_overflow_exit_3(tmp_path, capsys, argv, S0, what):
         {"plan": 5},
         {"parameters": {"delta": [1], "e": 0.1, "alpha": 1.0}},
         {"out": 7},
-        {"sample_log": 7, "log_samples": True},
+        {"sample_log": 7},
+        {"log_samples": True},  # the switch went; a sample_log path alone logs
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
@@ -188,11 +191,13 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         {"kind": "two_scale", "spec": {"alpha": float("nan")}},
         {"kind": "two_scale", "spec": {"amp": True}},
         {"kind": "two_scale", "spec": {"max_lvl": 4}},
-        {"kind": "burgers", "spec": {"forcing": {"Lx": 1.0, "HH": 1.0, "k_rnage": [1, 2]}}},
-        {"kind": "burgers", "spec": {"forcing": {"H": "5", "Lx": 1.0, "Ly": 1.0}}},
-        {"kind": "burgers", "spec": {"forcing": {"H": float("nan"), "Lx": 1.0, "Ly": 1.0}}},
-        {"kind": "burgers", "spec": {"forcing": {"H": 5.0, "Lx": float("inf"), "Ly": 1.0}}},
-        {"kind": "burgers", "spec": {"forcing": {"H": True, "Lx": 1.0, "Ly": 1.0}}},
+        {"kind": "burgers", "spec": {"forcing": {"HH": 1.0, "k_rnage": [1, 2]}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": "5"}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": float("nan")}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": float("inf")}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": True}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": 5.0, "Lx": 1.0}}},
+        {"kind": "burgers", "spec": {"forcing": {"H": 5.0, "Ly": 1.0}}},
         {"kind": "burgers", "spec": {"viscosity": float("inf")}},
         {"kind": "burgers", "spec": {"viscosity": True}},
     ],
@@ -210,6 +215,8 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         "burgers_forcing_nan",
         "burgers_forcing_inf",
         "burgers_forcing_bool",
+        "burgers_forcing_Lx",
+        "burgers_forcing_Ly",
         "burgers_viscosity_inf",
         "burgers_viscosity_bool",
     ],
@@ -288,7 +295,7 @@ NO_DIR = "/nonexistent/dir/x.json"
         (["run", "--out", ""], {}),
         (["run", "--sample-log", NO_DIR], {}),
         (["run"], {"out": NO_DIR}),
-        (["run"], {"log_samples": True, "sample_log": NO_DIR}),
+        (["run"], {"sample_log": NO_DIR}),
     ],
 )
 def test_an_output_that_cannot_be_written_exits_2_before_any_work(
@@ -505,6 +512,60 @@ def test_run_sample_log_flag(tmp_path):
     assert len(lines) == 1 + expected
 
 
+def test_a_sample_log_path_in_the_config_turns_the_log_on(tmp_path):
+    # A config whose only log entry was "sample_log" ran without a log.
+    cfg = _two_scale_cfg(tmp_path, sample_log=str(tmp_path / "config.csv"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    cfg = _two_scale_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--sample-log", str(tmp_path / "flag.csv")]) == 0
+    logged = (tmp_path / "config.csv").read_bytes()
+    assert logged.startswith(b"term,level,sample_index,seed,value\r\n")
+    assert logged == (tmp_path / "flag.csv").read_bytes()
+
+
+def test_the_removed_log_samples_flag_exits_2(tmp_path, capsys):
+    cfg = _two_scale_cfg(tmp_path)
+    assert main(["run", "--config", str(cfg), "--log-samples"]) == 2
+    assert "error: unrecognized arguments: --log-samples" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+class OverflowModel(QoIModel):
+    """U = s 1e308 at level 1 and -s 1e308 at levels 2 and 3: finite values
+    whose coupled difference of levels 1 and 2 overflows.  s is +1, or with
+    ``alternate`` +-1 by a seed's parity (base seed 0's first four seeds
+    alternate)."""
+
+    max_level = 3
+
+    def __init__(self, alternate):
+        self.alternate = alternate
+
+    def evaluate_many(self, level, seeds):
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        s = 1.0 - 2.0 * (seeds % 2) if self.alternate else np.ones(seeds.size)
+        return (1e308 if level == 1 else -1e308) * s
+
+
+@pytest.mark.parametrize("alternate", [False, True], ids=["equal", "alternating"])
+@pytest.mark.parametrize(
+    "argv", [["run", "--workers", "1"], ["run", "--workers", "2"], ["pilot", "--samples", "4"]]
+)
+def test_a_coupled_difference_that_overflows_exits_3(
+    tmp_path, capsys, monkeypatch, argv, alternate
+):
+    # Equal signs wrote a report holding the non-JSON Infinity; alternating
+    # ones raised "-inf + inf in fsum", which exited 2 as a usage error.
+    monkeypatch.setattr(cli, "model_from_config", lambda d: OverflowModel(alternate))
+    plan = {**TWO_TERMS, "M": [4, 1], "M_total": [4, 5], "relative_load": 4.625}
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "plan": plan})
+    assert main([argv[0], "--config", str(cfg), *argv[1:], "--out", "r.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: levels 1-2 coupled difference overflows a float at seed ")
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("strategy", ["s1", "mc"])
 def test_run_parameters_whose_plan_overflows_exit_2(tmp_path, capsys, strategy):
     cfg = _two_scale_cfg(
@@ -532,8 +593,7 @@ def test_run_model_failure_exits_4(tmp_path, capsys):
             "spec": {
                 "cells_at_finest": 32,
                 "max_level": 1,
-                "forcing": {"H": 500.0, "Lx": 1.0, "Ly": 1.0,
-                            "k_range": [2, 6], "l_range": [4, 20]},
+                "forcing": {"H": 500.0, "k_range": [2, 6], "l_range": [4, 20]},
             },
         },
         "plan": plan,
@@ -635,7 +695,6 @@ def test_config_round_trip():
         "base_seed": 9,
         "classical_level": 2,
         "workers": 2,
-        "log_samples": True,
         "sample_log": "s.csv",
         "out": "r.json",
     }

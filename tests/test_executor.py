@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1006,6 +1007,49 @@ def test_a_std_error_that_overflows_is_degenerate():
     plan = _plan(StrategyId.S1, (2, 2, 2))
     with pytest.raises(DegenerateModelError, match="terms 1-3 statistics overflow"):
         run_mlmc(SignByPositionModel(), plan, base_seed=0, workers=1)
+
+
+class OverflowModel(QoIModel):
+    """U = s 1e308 below level ``flip`` and -s 1e308 from it on: finite
+    values whose coupled difference across the flip overflows.  s is +1, or
+    with ``alternate`` +-1 by a seed's parity (base seed 0's first four
+    seeds alternate)."""
+
+    max_level = 3
+
+    def __init__(self, flip=2, alternate=False):
+        self.flip, self.alternate = flip, alternate
+
+    def evaluate_many(self, level, seeds):
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        s = 1.0 - 2.0 * (seeds % 2) if self.alternate else np.ones(seeds.size)
+        return (1e308 if level < self.flip else -1e308) * s
+
+
+@pytest.mark.parametrize("count", [4, 4096])
+@pytest.mark.parametrize("alternate", [False, True], ids=["equal", "alternating"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_coupled_difference_that_overflows_is_degenerate(workers, alternate, count):
+    # Equal signs gave a term mean of inf, which a report wrote as the
+    # non-JSON Infinity; alternating ones raised "-inf + inf in fsum".  Every
+    # chunk of a 4096-sample term fails: the first one names its first seed.
+    first = counter_seeds(0, 0, 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            DegenerateModelError,
+            match=f"^levels 1-2 coupled difference overflows a float at seed {first}$",
+        ):
+            run_mlmc(
+                OverflowModel(alternate=alternate), _plan(StrategyId.S2, (count, 1)),
+                base_seed=0, workers=workers,
+            )
+        with pytest.raises(DegenerateModelError, match="^levels 1-2 coupled difference"):
+            pilot_estimate_parameters(OverflowModel(alternate=alternate), count, 0, workers)
+        with pytest.raises(DegenerateModelError, match="^pilot levels 2-3 coupled difference"):
+            pilot_estimate_parameters(
+                OverflowModel(flip=3, alternate=alternate), count, 0, workers
+            )
 
 
 def test_pilot_input_validation():

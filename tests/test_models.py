@@ -43,7 +43,7 @@ def test_spec_validation_and_round_trip():
         TopographySpec(l_range=(0, 4))
     spec = TopographySpec(H=250.0, k_range=(2, 6))
     assert TopographySpec(**{"H": 250.0, "k_range": [2, 6]}) == spec
-    assert (TopographySpec().n_k, spec.n_k) == (17, 5)
+    assert (TopographySpec().n_k, spec.n_k) == (5, 5)
 
 
 @pytest.mark.parametrize(
@@ -52,8 +52,9 @@ def test_spec_validation_and_round_trip():
     + [(f, (lo, hi)) for f in ("k_range", "l_range") for lo, hi in ((4, math.inf), (True, 4))],
 )
 def test_topography_spec_rejects_non_finite_and_boolean_values(field, bad):
-    # H=nan passed "H < 0", Lx=inf passed "Lx > 0", and True counted as 1.
-    with pytest.raises(ValueError, match=field):
+    # H=nan passed "H < 0", and True counted as 1.  Lx and Ly are fields no
+    # more (the period is the model's domain_length): no value of them is taken.
+    with pytest.raises(TypeError if field in ("Lx", "Ly") else ValueError, match=field):
         TopographySpec(**{field: bad})
 
 
@@ -202,15 +203,28 @@ def test_burgers_spec_validation():
     spec = BurgersSpec()
     assert spec.cells_at_level(1) == 256
     assert spec.cells_at_level(4) == 32
-    assert spec.forcing.Lx == spec.domain_length
     with pytest.raises(ValueError):
         BurgersSpec(viscosity=0.0)
     with pytest.raises(ValueError):
         BurgersSpec(cells_at_finest=100, max_level=4)
-    with pytest.raises(ValueError):
-        BurgersSpec(forcing=TopographySpec(H=1.0, Lx=2.0, Ly=1.0))
-    forcing = {"H": 5.0, "Lx": 1.0, "Ly": 1.0, "k_range": [2, 6], "l_range": [4, 20]}
+    forcing = {"H": 5.0, "k_range": [2, 6], "l_range": [4, 20]}
     assert BurgersSpec.from_json_dict({"forcing": forcing}) == spec
+    # The default forcing is the default TopographySpec, and a null one in a
+    # config is the default.
+    assert spec == BurgersSpec(forcing=TopographySpec())
+    assert BurgersSpec.from_json_dict({"forcing": None}) == spec
+
+
+def test_a_forcing_takes_its_period_from_the_domain():
+    # TopographySpec(H=5.0) once carried a period Lx of 2e6 that had to equal
+    # domain_length, so this spec raised.
+    spec = BurgersSpec(domain_length=2.0, forcing=TopographySpec(H=5.0))
+    values = BurgersModel(spec).evaluate_levels((1, 4), counter_seeds(0, 0, 4))
+    assert values.shape == (2, 4) and np.isfinite(values).all()
+    # k full periods over the domain: the modes at the cell centres do not
+    # depend on its length.
+    for n in (32, 256):
+        assert _forcing_modes(spec, n).tobytes() == _forcing_modes(BurgersSpec(), n).tobytes()
 
 
 @pytest.mark.parametrize("field", ["viscosity", "domain_length", "time_horizon"])
@@ -266,7 +280,7 @@ def test_burgers_forcing_coefficients_follow_the_law():
 
 def test_burgers_zero_forcing_stays_at_rest():
     spec = BurgersSpec(
-        forcing=TopographySpec(H=0.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+        forcing=TopographySpec(H=0.0, k_range=(2, 6), l_range=(4, 20))
     )
     assert BurgersModel(spec).evaluate_many(4, [123])[0] == 0.0
 
@@ -307,7 +321,7 @@ def test_burgers_integrate_returns_each_rows_blow_up():
 
 def test_burgers_blow_up_is_reported():
     spec = BurgersSpec(
-        forcing=TopographySpec(H=500.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+        forcing=TopographySpec(H=500.0, k_range=(2, 6), l_range=(4, 20))
     )
     with pytest.raises(ModelEvaluationError, match="blew up") as exc:
         BurgersModel(spec).evaluate_many(4, [0])
@@ -330,7 +344,7 @@ def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
     # 15 earlier, at t = 0.1625: a batch names its first blown seed in seed
     # order, not the first to blow up in time, whether the two share a tile
     # (the default: 2048 seeds at 32 cells) or not (3 seeds).
-    forcing = TopographySpec(H=20.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+    forcing = TopographySpec(H=20.0, k_range=(2, 6), l_range=(4, 20))
     model = BurgersModel(BurgersSpec(cells_at_finest=32, max_level=1, forcing=forcing))
     seeds = counter_seeds(0, 0, 64)
     blown_at = {}
@@ -364,7 +378,7 @@ def test_burgers_names_the_first_blown_seed_in_seed_order(monkeypatch):
 def test_burgers_two_level_chunk_names_the_lowest_failing_level(base_seed, level, index):
     # Term 1 of this plan runs levels 1 and 2 of seeds 0-1023 in two chunks
     # of 512; one evaluate_levels call draws both levels' forcing at once.
-    forcing = TopographySpec(H=12.0, Lx=1.0, Ly=1.0, k_range=(2, 6), l_range=(4, 20))
+    forcing = TopographySpec(H=12.0, k_range=(2, 6), l_range=(4, 20))
     spec = BurgersSpec(cells_at_finest=16, max_level=2, time_horizon=0.5, forcing=forcing)
     plan = LevelPlan(StrategyId.S1, (1024, 1), 3.0, None)
     seeds = counter_seeds(base_seed, 0, 1024)
