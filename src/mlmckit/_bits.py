@@ -24,8 +24,8 @@ _M2 = 0x94D049BB133111EB
 #   scratch until then) take 1 MiB, and a 16384-seed executor chunk at
 #   TwoScale's two normals is one tile.  Drawing a GBM tile in two
 #   normal_lanes tiles made a GBM run a fifth slower.
-# - GBM, 256 seeds at the default 256 steps: a tile's draw, its first
-#   halving and normal_lanes's states take 1.25 MiB of per-thread scratch.
+# - GBM, 256 seeds at the default 256 steps: a tile's draw, coarsened in
+#   place, and normal_lanes's states take 1 MiB of per-thread scratch.
 #   On gbm_capped, 128-seed tiles kept 0.6 MB less resident but made the
 #   run 5% slower, since each tile costs about 50 us of calls whatever its
 #   size.
@@ -107,13 +107,14 @@ def counter_seeds(base_seed, start, count):
     return _mix64_array(states)
 
 
-def normal_lanes(seeds, n, out=None):
+def normal_lanes(seeds, n, out=None, groups=1):
     """(len(seeds), n) i.i.d. standard normals, one splitmix64 stream per seed.
 
     Lane j of stream s is ndtri of the (0,1) unit float built from
     mix64(s + GOLDEN * (j+1)), stepping before finalizing like splitmix64
     itself (seed 0's first lane must not be the fixed point mix64(0) = 0).
     Bit-identical results for a given (seed, j) regardless of batching.
+    With ``groups`` g dividing n, lane j is column (j % g) * (n // g) + j // g.
 
     The work is lane-major: each tile's counter states are an (n, b) block
     with one contiguous row per lane, so every ufunc's inner loop runs over
@@ -127,6 +128,8 @@ def normal_lanes(seeds, n, out=None):
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     if n < 0:
         raise ValueError("n must be non-negative")
+    if not isinstance(groups, (int, np.integer)) or groups is True or groups < 1 or n % groups:
+        raise ValueError(f"groups must be an integer >= 1 dividing n={n}, got {groups!r}")
     if out is None:
         out = np.empty((n, seeds.size)).T
     elif out.shape != (seeds.size, n) or out.dtype != np.float64:
@@ -134,7 +137,8 @@ def normal_lanes(seeds, n, out=None):
             f"out must be a float64 array of shape {(seeds.size, n)}, "
             f"got {out.dtype} {out.shape}"
         )
-    lanes = (np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GOLDEN))[:, None]
+    lanes = np.arange(1, n + 1, dtype=np.uint64).reshape(-1, groups).T.ravel()
+    lanes = (lanes * np.uint64(GOLDEN))[:, None]
     for tile in _tiles(seeds.size, n):
         part = seeds[tile]
         h = scratch("lanes", n * part.size, np.uint64).reshape(n, part.size)

@@ -67,35 +67,31 @@ class GBMSpec:
         return cls(**d)
 
 
-def _increments(spec, level, seeds, fine, half):
+def _increments(spec, level, seeds, fine):
     """Brownian increments at ``level``, lane-major as an (n_level, B) array.
 
     All fine increments are drawn into ``fine``, an (n, B) float64 array,
-    then summed pairwise down, alternating between ``half`` (n/2, B) and the
-    head of ``fine``; the result is a view of one of the two.  A level the
-    spec does not have raises ValueError.
+    grouped by step mod n / n_level, so that each halving adds contiguous
+    block pairs in place; the result is the head of ``fine``, in time
+    order.  A level the spec does not have raises ValueError.
     """
     n, n_level = spec.steps_at_finest, spec.steps_at_level(level)
-    dW, spare = fine, half
-    normal_lanes(seeds, n, out=dW.T)
-    dW *= math.sqrt(spec.T / n)
-    while dW.shape[0] > n_level:
-        coarse = spare[: dW.shape[0] // 2]
-        np.add(dW[0::2], dW[1::2], out=coarse)
-        dW, spare = coarse, dW
-    return dW
+    normal_lanes(seeds, n, out=fine.T, groups=n // n_level)
+    fine *= math.sqrt(spec.T / n)
+    blocks = fine.reshape(n // n_level, n_level, seeds.size)
+    while blocks.shape[0] > 1:
+        blocks = np.add(blocks[0::2], blocks[1::2], out=blocks[0::2])
+    return blocks[0]
 
 
 def _gbm_batch(spec, level, seeds, out):
     """Terminal states of a tile of seeds, written into ``out``.
 
-    The increments live in this thread's scratch arrays, so a tile
-    allocates nothing the size of its draw.
+    The increments are drawn and coarsened in this thread's one scratch
+    array, so a tile allocates nothing the size of its draw.
     """
     n, b = spec.steps_at_finest, seeds.size
-    fine = scratch("gbm.fine", n * b).reshape(n, b)
-    half = scratch("gbm.half", n // 2 * b).reshape(n // 2, b)
-    dW = _increments(spec, level, seeds, fine, half)
+    dW = _increments(spec, level, seeds, scratch("gbm.fine", n * b).reshape(n, b))
     dt = spec.T / dW.shape[0]
     # Euler-Maruyama for GBM is multiplicative, so the terminal state is the
     # plain product of the per-step growth factors (1 + r dt) + vol dW.  They

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
 
@@ -121,13 +122,38 @@ def test_gbm_increments_coarsen_bitwise():
     n = g.steps_at_finest
 
     def increments(level):
-        fine, half = np.empty((n, seeds.size)), np.empty((n // 2, seeds.size))
-        return _increments(g, level, seeds, fine, half).T
+        return _increments(g, level, seeds, np.empty((n, seeds.size))).T
 
     fine = increments(1)
     for level in (2, 3, 4):
         fine = fine.reshape(len(seeds), -1, 2).sum(axis=2)
         assert np.array_equal(fine, increments(level))
+
+
+def test_gbm_tile_coarsens_in_one_scratch_buffer():
+    # A fresh thread that runs every GBM level keeps only the draw's states
+    # and the tile's increments (256 x 256 x 8 bytes each at the defaults).
+    # A warm level-4 tile peaks below the 256 KiB that a temporary for its
+    # first halving would take, since the halvings add in place.
+    model, seeds, found = GBMModel(), counter_seeds(5, 0, 256), {}
+
+    def work():
+        for level in (1, 2, 3, 4):
+            model.evaluate_many(level, seeds)
+        found["scratch"] = {k: v.nbytes for k, v in _bits._scratch.__dict__.items()}
+        tracemalloc.start()
+        try:
+            model.evaluate_many(4, seeds)
+            found["peak"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert found["scratch"] == {"lanes": 1 << 19, "gbm.fine": 1 << 19}
+    assert found["peak"] < 256 * 1024
 
 
 _FAULTS = textwrap.dedent(

@@ -95,28 +95,48 @@ def _broadcast_reference(seeds, n):
     return ndtri(u)
 
 
+def _group_orders(n):
+    """Each ``groups`` of 1, 2, 8 and n that divides n, with the lane each
+    output column then holds: lanes sorted by (j mod groups, j)."""
+    for groups in sorted({g for g in (1, 2, 8, n) if g >= 1 and n % g == 0}):
+        yield groups, sorted(range(n), key=lambda j: (j % groups, j))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 256])
 @pytest.mark.parametrize("count", [0, 1, 255, 257, 4097])
 def test_normal_lanes_bytes_equal_the_broadcast_formula(count, n):
     # 4097 seeds of 256 lanes span 17 tiles, the last one ragged.
     seeds = counter_seeds(31, 0, count)
-    z = normal_lanes(seeds, n)
-    assert z.shape == (count, n) and z.dtype == np.float64
-    expect = _broadcast_reference(seeds, n)
-    assert np.ascontiguousarray(z).tobytes() == np.ascontiguousarray(expect).tobytes()
+    reference = _broadcast_reference(seeds, n)
+    for groups, order in _group_orders(n):
+        z = normal_lanes(seeds, n, groups=groups)
+        assert z.shape == (count, n) and z.dtype == np.float64
+        expect = np.ascontiguousarray(reference[:, order])
+        assert np.ascontiguousarray(z).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("layout", ["seed-major", "lane-major"])
 @pytest.mark.parametrize("n", [2, 256])
 def test_normal_lanes_into_out_equal_a_fresh_result(layout, n):
     seeds = counter_seeds(32, 0, 300)
-    fresh = normal_lanes(seeds, n)
-    out = np.full((300, n), np.nan) if layout == "seed-major" else np.full((n, 300), np.nan).T
-    assert normal_lanes(seeds, n, out=out) is out
-    assert np.array_equal(out, fresh)
+
+    def empty():
+        return np.full((300, n), np.nan) if layout == "seed-major" else np.full((n, 300), np.nan).T
+
+    for groups, _ in _group_orders(n):
+        fresh = normal_lanes(seeds, n, groups=groups)
+        out = empty()
+        assert normal_lanes(seeds, n, out=out, groups=groups) is out
+        assert np.array_equal(out, fresh)
     for bad in (np.empty((300, n + 1)), np.empty((299, n)), np.empty((300, n), np.float32)):
         with pytest.raises(ValueError):
             normal_lanes(seeds, n, out=bad)
+    # A groups that is not a whole number >= 1 dividing n fails before any draw.
+    for groups in (0, 3, True, 2.5):
+        out = empty()
+        with pytest.raises(ValueError, match="groups"):
+            normal_lanes(seeds, n, out=out, groups=groups)
+        assert np.isnan(out).all()
 
 
 def test_normal_lanes_results_never_alias():
