@@ -359,19 +359,25 @@ def _std_error(term_stats):
 def _write_sample_log(path, terms):
     """Write one CSV row per (term, sample_index, level), in that order.
 
-    ``terms`` holds ``(term, seeds, per_level)`` with ``per_level`` mapping
-    each level the term touches, in ascending order, to its values.  Rows
-    end in CRLF, as ``csv.writer``'s do; no field needs quoting.
+    ``terms`` holds ``(term, base_seed, start, per_level)``: the term's
+    samples are counters ``start`` onwards, and ``per_level`` maps each
+    level the term touches, in ascending order, to its values.  Rows are
+    formatted 4096 samples at a time and end in CRLF, as ``csv.writer``'s
+    do; no field needs quoting.
     """
     with open(path, "w", newline="") as fh:
         fh.write("term,level,sample_index,seed,value\r\n")
-        for term, seeds, per_level in terms:
-            keys = [f"{idx},{seed}," for idx, seed in enumerate(seeds.tolist())]
-            cols = [
-                [f"{term},{lv},{key}{x!r}\r\n" for key, x in zip(keys, vals.tolist())]
-                for lv, vals in per_level.items()
-            ]
-            fh.writelines(map("".join, zip(*cols)))
+        for term, base_seed, start, per_level in terms:
+            count = len(next(iter(per_level.values())))
+            for lo in range(0, count, 4096):
+                hi = min(lo + 4096, count)
+                seeds = counter_seeds(base_seed, start + lo, hi - lo)
+                keys = [f"{idx},{seed}," for idx, seed in enumerate(seeds.tolist(), start=lo)]
+                cols = [
+                    [f"{term},{lv},{key}{x!r}\r\n" for key, x in zip(keys, vals[lo:hi].tolist())]
+                    for lv, vals in per_level.items()
+                ]
+                fh.writelines(map("".join, zip(*cols)))
 
 
 def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
@@ -395,8 +401,7 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
                 keep=sample_log_path is not None,
             )
             if sample_log_path is not None:
-                seeds = counter_seeds(base_seed, start, count)
-                log_terms.append((term, seeds, dict(zip(levels, rows))))
+                log_terms.append((term, base_seed, start, dict(zip(levels, rows))))
             with _no_overflow(f"term {term}"):
                 stats.append(_term_stats(term, values))
             seed_ledger.append(

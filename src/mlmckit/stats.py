@@ -12,7 +12,10 @@ itself, which gives the same value or error (and the interpreter's sign
 of zero).  Squared deviations are IEEE products (``d * d``) rather than
 libm ``pow``, so variance bytes do not depend on the platform's libm; a
 variance can differ from a ``(x - m) ** 2`` sum in its last bit.  Means,
-and so estimates, involve no squares and are unaffected.
+and so estimates, involve no squares and are unaffected.  The squares are
+formed one block at a time inside the sum, so a variance allocates one
+block's buffers whatever the sample count; only the cases left to
+``math.fsum`` form them all.
 """
 
 import math
@@ -121,12 +124,32 @@ _M = (_SUM_BLOCK + 1).bit_length()
 _SMALL_SUM = 1024
 
 
-def _fsum(v):
-    """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized."""
+def _fsum(v, center=None):
+    """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized.
+
+    With ``center``, the sum of the IEEE squares
+    ``(v - center) * (v - center)``, formed one block at a time in a
+    block-sized buffer, or the error that forming them all would raise.
+    """
     n = v.size
+    c = 0.0 if center is None else center
+    # The largest |v - c|: rounding is monotone, so it is at v.max() or
+    # v.min(), and so is the largest square.
+    top = max(float(v.max()) - c, c - float(v.min())) if n >= _SMALL_SUM else math.nan
+    if center is not None:
+        top *= top
     # Small arrays, inf, NaN, and sums (or a sigma) that could overflow:
     # leave those to fsum, which gives the same value or error.
-    if n < _SMALL_SUM or not float(max(v.max(), -v.min())) * max(n, 1 << _M) < 2.0**1020:
+    if not top * max(n, 1 << _M) < 2.0**1020:
+        if center is not None:
+            # A finite deviation whose square overflows raises, as Python's
+            # float arithmetic does; inf - inf and NaN give a NaN quietly.
+            with np.errstate(over="raise", invalid="ignore"):
+                try:
+                    v = v - center
+                    v *= v
+                except FloatingPointError as exc:
+                    raise OverflowError("squared deviation out of range") from exc
         return math.fsum(memoryview(v))
     b = min(n, _SUM_BLOCK)
     p, q = np.empty(b), np.empty(b)
@@ -134,9 +157,12 @@ def _fsum(v):
     # block, then the block's nonzero remainders.
     parts = []
     for i in range(0, n, b):
-        rest = blk = v[i : i + b]
-        pk, qk = p[: blk.size], q[: blk.size]
-        sigma = 2.0 ** (_M + math.frexp(float(max(blk.max(), -blk.min())))[1])
+        rest = v[i : i + b]
+        pk, qk = p[: rest.size], q[: rest.size]
+        if center is not None:
+            rest = np.subtract(rest, center, out=pk)
+            rest *= rest
+        sigma = 2.0 ** (_M + math.frexp(float(max(rest.max(), -rest.min())))[1])
         for _ in range(2):
             # The argument needs sigma * 2**-53 to be a normal float.
             if sigma < 2.0**-969:
@@ -148,8 +174,9 @@ def _fsum(v):
             rest, sigma = pk, sigma * 2.0 ** (_M - 53)
         parts.extend(rest[rest != 0].tolist())
     total = math.fsum(parts)
-    # An exact zero takes the interpreter's sign of zero.
-    return total if total else math.fsum(memoryview(v))
+    # An exact zero takes the interpreter's sign of zero; squares are never
+    # -0.0, so theirs is fsum's +0.0 already.
+    return total if total or center is not None else math.fsum(memoryview(v))
 
 
 def mc_mean(s):
@@ -165,20 +192,15 @@ def mc_mean(s):
 
 
 def unbiased_variance(s):
-    """Unbiased sample variance (1/(M-1) normalization), two-pass."""
+    """Unbiased sample variance (1/(M-1) normalization), two-pass.
+
+    The squared deviations are summed one block of values at a time, so
+    the variance allocates one block's buffers whatever the sample count.
+    """
     v = _values(s)
     if v.size < 2:
         raise ValueError(f"unbiased variance needs at least 2 samples, got {v.size}")
-    m = _fsum(v) / v.size
-    # A finite deviation whose square overflows raises, as Python's float
-    # arithmetic does; inf - inf and NaN inputs give a NaN variance quietly.
-    with np.errstate(over="raise", invalid="ignore"):
-        try:
-            d = v - m
-            d *= d
-        except FloatingPointError as exc:
-            raise OverflowError("squared deviation out of range") from exc
-    return _fsum(d) / (v.size - 1)
+    return _fsum(v, _fsum(v) / v.size) / (v.size - 1)
 
 
 def estimate_alpha(delta_12, delta_23):

@@ -455,12 +455,11 @@ def test_the_pilot_draws_each_chunk_once(draws, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
     # Only one term's difference may be alive at once, next to the
-    # statistics' squared deviations and, at two workers, each pool thread's
-    # kept draw and scratch: that peaks near 3.6 times the largest term's
-    # float64 bytes.  A per-term seed array and level matrix (4.1-4.2x),
-    # keeping the rows through the statistics (about 7x), or one term's
-    # seeds and difference into the next term's evaluation (about 5.1x)
-    # exceed four.
+    # statistics' block buffers and, at two workers, each pool thread's
+    # kept draw and scratch: that peaks near 2.5 times the largest term's
+    # float64 bytes (1.9 at one worker).  Keeping the rows through the
+    # statistics (4.5x at two workers) exceeds four; the tighter bound of
+    # the warm one-worker test below catches smaller leaks.
     M = (26000, 82000, 104000, 104000, 82000, 20480)
     plan = _plan(StrategyId.S3, M)
     tracemalloc.start()
@@ -470,6 +469,26 @@ def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * max(M)
+
+
+def test_a_warm_serial_run_holds_one_terms_values_and_a_block_of_statistics():
+    # Once the calling thread's scratch exists, a serial run holds the
+    # largest term's differences and the statistics' two block buffers:
+    # 1.63 times that term's float64 bytes.  Squaring a term's deviations
+    # all at once (2.34x), a per-term seed array kept through its
+    # statistics (3.0x), one term's difference kept into the next term's
+    # evaluation (2.6x) or its rows kept through the statistics (3.6x)
+    # exceed two.
+    M = (26000, 82000, 104000, 104000, 82000, 20480)
+    plan = _plan(StrategyId.S3, M)
+    run_mlmc(TwoScaleModel(), plan, 3, workers=1)
+    tracemalloc.start()
+    try:
+        run_mlmc(TwoScaleModel(), plan, 3, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * max(M)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +587,27 @@ def test_sample_log_rows_and_disjoint_seeds(tmp_path):
     assert {int(r[3]) for r in t1_rows if r[1] == "1"} == {
         int(r[3]) for r in t1_rows if r[1] == "2"
     }
+
+
+def test_the_sample_log_is_formatted_a_block_of_rows_at_a_time(tmp_path):
+    # A 200 000-sample two-level term's rows hold 3.1 MB; formatting them
+    # all before writing any peaked at 66.6 MB.
+    count = 200_000
+    rng = np.random.default_rng(5)
+    per_level = {1: rng.standard_normal(count), 2: rng.standard_normal(count)}
+    path = tmp_path / "samples.csv"
+    tracemalloc.start()
+    try:
+        executor._write_sample_log(str(path), [(1, 9, 10, per_level)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == 1 + 2 * count
+    seed = counter_seeds(9, 10 + count - 1, 1)[0]
+    assert lines[-1] == f"1,2,{count - 1},{seed},{float(per_level[2][-1])!r}\r\n"
 
 
 def test_pilot_draws_never_collide_with_run_draws():

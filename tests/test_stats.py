@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from mlmckit import stats
@@ -100,10 +101,12 @@ def test_non_finite_samples_give_nan_variance_without_warnings(bad, kind, recwar
 
 
 def test_input_arrays_are_left_untouched():
-    v = np.array([1.0, 2.0, 4.0])
-    unbiased_variance(v)
-    mc_mean(v)
-    assert v.tolist() == [1.0, 2.0, 4.0]
+    for size in (3, 3 * 16384 + 17):
+        v = np.random.default_rng(size).standard_normal(size)
+        before = v.tobytes()
+        unbiased_variance(v)
+        mc_mean(v)
+        assert v.tobytes() == before
 
 
 @given(st.lists(finite_floats, min_size=2, max_size=64), finite_floats)
@@ -194,6 +197,33 @@ def test_fsum_equals_math_fsum_bit_for_bit(v):
     # Arrays below the cut-off go to fsum; the kernel must agree on them too.
     with mock.patch.object(stats, "_SMALL_SUM", 0):
         assert _fsum_outcome(_fsum, v) == expect
+
+
+@given(sum_inputs())
+# Several blocks of normals, which the kernel sums.
+@example(np.random.default_rng(1).standard_normal(3 * 16384 + 17))
+# Values near ±1e200, whose squares overflow.
+@example(np.resize([1e200, -1e200, 3.0], 16385))
+# Deviations that overflow before they are squared.
+@example(np.resize([1.7e308, -1.7e308, -1.7e308], 1025))
+# A largest deviation below the mean, too large for the kernel's headroom.
+@example(np.concatenate([[-1e153], np.zeros(1024)]))
+# Equal values: every deviation and the total are zero.
+@example(np.full(16385, 0.1))
+def test_variance_equals_the_scalar_reference_bit_for_bit(v):
+    assume(v.size >= 2)
+    assert _outcome(unbiased_variance, v) == _outcome(_ref_variance, v.tolist())
+
+
+def test_variance_allocates_one_block_whatever_the_size():
+    v = np.random.default_rng(2).standard_normal(1 << 20)
+    tracemalloc.start()
+    try:
+        unbiased_variance(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stats._SUM_BLOCK * 8
 
 
 @pytest.mark.parametrize(
