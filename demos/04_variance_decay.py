@@ -14,7 +14,8 @@ from mlmckit import BurgersModel, GBMModel, estimate_alpha, unbiased_variance
 def decay_table(name, model, n_samples, base):
     seeds = np.arange(base, base + n_samples, dtype=np.uint64)
     levels = list(range(1, model.max_level + 1))
-    u = {lv: np.asarray(model.evaluate_many(lv, seeds)) for lv in levels}
+    # One call for every level, the call the executor makes for a term.
+    u = dict(zip(levels, model.evaluate_levels(levels, seeds)))
     print(f"{name}: {n_samples} coupled samples, levels 1 (finest) .. {levels[-1]}")
     spreads = []
     for lv in levels[:-1]:

@@ -21,13 +21,17 @@ def _whole(name, value, low, high):
 
 def _finite(name, value, positive=False):
     """``value`` as a float; reject it unless it is a finite real number (a
-    bool is not one), and above zero if ``positive``."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or (positive and not value > 0)
-    ):
+    bool is not one, nor an int too large for a float), and above zero if
+    ``positive``."""
+    try:
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Real)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # math.isfinite(10**400)
+        ok = False
+    if not ok or (positive and not value > 0):
         rule = "> 0 and finite" if positive else "finite and real"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return float(value)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from ._checks import _whole
+from ._checks import _finite, _whole
 from .executor import (
     DegenerateModelError,
     ModelEvaluationError,
@@ -119,7 +119,6 @@ class RunConfig:
     parameters: Optional[dict] = None
     pilot_samples: int = 256
     base_seed: int = 0
-    classical_level: int = 1
     workers: Optional[int] = None
     sample_log: Optional[str] = None
     out: str = "report.json"
@@ -163,9 +162,7 @@ class RunConfig:
             )
         # Whole-number fields become ints here, once, so that 2.0 in a config
         # file runs exactly as 2 does.
-        for key, low in (
-            ("pilot_samples", 2), ("base_seed", 0), ("classical_level", 1), ("workers", 1)
-        ):
+        for key, low in (("pilot_samples", 2), ("base_seed", 0), ("workers", 1)):
             # workers stays None, the executor's default: the usable CPUs.
             if getattr(self, key) is not None:
                 setattr(self, key, _whole(key, getattr(self, key), low, None))
@@ -286,16 +283,14 @@ def cmd_run(args):
 
     plan = _resolve_plan(cfg, model)
     if plan.strategy is StrategyId.CLASSICAL_MC:
-        report = run_classical_mc(
-            model,
-            cfg.classical_level,
-            plan.M[0],
-            cfg.base_seed,
-            workers=cfg.workers,
-            sample_log_path=cfg.sample_log,
+        # Classical MC at the finest level: the level its plan is sized and priced for.
+        report = replace(
+            run_classical_mc(
+                model, 1, plan.M[0], cfg.base_seed,
+                workers=cfg.workers, sample_log_path=cfg.sample_log,
+            ),
+            plan=plan,
         )
-        if plan.inputs is not None:
-            report = replace(report, plan=plan)
     else:
         report = run_mlmc(
             model, plan, cfg.base_seed, workers=cfg.workers, sample_log_path=cfg.sample_log
@@ -326,21 +321,18 @@ def _read_report(path):
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError, or an int past the digit limit
         raise _BadReport(f"{path}: {exc}")
     if not isinstance(raw, dict):
         raise _BadReport(f"{path}: report must be a JSON object")
     missing = [k for k in _REPORT_KEYS if k not in raw]
     if missing:
         raise _BadReport(f"{path}: missing report fields {missing}")
-    out = {}
-    for k in _REPORT_KEYS:
-        v = raw[k]
-        # bool is an int subclass, but true/false are not numbers.
-        if v is not None and (isinstance(v, bool) or not isinstance(v, (int, float))):
-            raise _BadReport(f"{path}: field {k!r} must be a number or null")
-        out[k] = v
-    if not isinstance(raw.get("plan"), dict) or "strategy" not in raw["plan"]:
+    try:
+        out = {k: None if raw[k] is None else _finite(k, raw[k]) for k in _REPORT_KEYS}
+    except ValueError as exc:
+        raise _BadReport(f"{path}: {exc}")
+    if not isinstance(raw.get("plan"), dict) or not isinstance(raw["plan"].get("strategy"), str):
         raise _BadReport(f"{path}: missing or malformed plan")
     out["strategy"] = raw["plan"]["strategy"]
     out["path"] = path

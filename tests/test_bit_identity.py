@@ -179,13 +179,14 @@ def test_cli_classical_report_bytes_are_pinned(tmp_path):
         "strategy": "s3",
         "pilot_samples": 512,
         "base_seed": 7,
-        "classical_level": 2,
         "workers": 2,
         "out": str(tmp_path / "report.json"),
     }))
     assert main(["run", "--config", str(cfg), "--strategy", "mc"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["plan"]["inputs"] is not None
+    # A CLI classical run is at level 1, the level its plan prices.
+    assert report["seeds"]["terms"][0]["levels"] == [1]
     assert _file_digest(tmp_path / "report.json") == (
-        "8b6b629b1ce00329b9131029af3a6338fae8187ec7b515effa1dc308fe35be3c"
+        "2204e07d332452ec2928ec7c8a006b9bdb2fcaf3e41d3cddc9b45a57e51dc636"
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -466,36 +467,53 @@ def test_run_reruns_byte_identical(tmp_path):
 
 
 def test_run_classical_strategy(tmp_path):
-    cfg = _two_scale_cfg(tmp_path, strategy="mc", classical_level=1)
-    rc = main(["run", "--config", str(cfg)])
-    assert rc == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["plan"]["strategy"] == "ClassicalMC"
-    assert report["plan"]["L"] == 1
-    # planning inputs survive onto the executed classical report
-    assert report["a_priori_error_bound"] is not None
+    # From an inline pilot and from explicit parameters: a classical run is
+    # at level 1, the level its plan is sized and priced for.
+    params = {"delta": 1.5, "e": 0.05, "alpha": 1.0}
+    for extra in ({}, {"parameters": params}):
+        cfg = _two_scale_cfg(tmp_path, strategy="mc", **extra)
+        assert main(["run", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["plan"]["strategy"] == "ClassicalMC"
+        assert report["plan"]["L"] == 1
+        assert report["seeds"]["terms"][0]["levels"] == [1]
+        assert report["plan"]["relative_load"] == report["realized_load"]
+        # planning inputs survive onto the executed classical report
+        assert report["a_priori_error_bound"] == 2.0 * report["plan"]["inputs"]["e"]
+    assert report["plan"]["inputs"]["e"] == params["e"]
+
+
+def test_a_config_naming_classical_level_exits_2(tmp_path, capsys):
+    # The key ran level 2 under the level-1 plan, and its report read a
+    # relative_load of 100.0 next to a realized_load of 12.5.
+    cfg = _two_scale_cfg(
+        tmp_path, strategy="mc", parameters={"delta": 1.0, "e": 0.1, "alpha": 1.0},
+        classical_level=2,
+    )
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown config keys: ['classical_level']" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_whole_number_floats_in_a_config_run_as_integers(tmp_path, capsys):
-    # "classical_level": 2.0 once ran the whole ensemble and then exited 2.
+    # A whole-number float such as "workers": 2.0 once ran the whole
+    # ensemble and then exited 2.
     reports = []
     for number in (2, 2.0):
         cfg = _two_scale_cfg(
-            tmp_path, strategy="mc", classical_level=number, workers=number,
-            pilot_samples=200.0, base_seed=17.0,
+            tmp_path, strategy="mc", workers=number, pilot_samples=200.0, base_seed=17.0,
         )
         assert main(["run", "--config", str(cfg)]) == 0
         reports.append((tmp_path / "report.json").read_bytes())
     assert reports[0] == reports[1]
-    assert json.loads(reports[1])["seeds"]["terms"][0]["levels"] == [2]
-    raw = {"model": {"kind": "two_scale"}, "classical_level": 3.0, "workers": 2.0}
+    raw = {"model": {"kind": "two_scale"}, "pilot_samples": 300.0, "workers": 2.0}
     cfg = RunConfig.from_json_dict(raw)
-    assert (cfg.classical_level, cfg.workers) == (3, 2)
-    assert type(cfg.classical_level) is int and type(cfg.workers) is int
+    assert (cfg.pilot_samples, cfg.workers) == (300, 2)
+    assert type(cfg.pilot_samples) is int and type(cfg.workers) is int
     for bad in (2.5, True):
-        cfg = _two_scale_cfg(tmp_path, strategy="mc", classical_level=bad)
+        cfg = _two_scale_cfg(tmp_path, strategy="mc", workers=bad)
         assert main(["run", "--config", str(cfg)]) == 2
-        assert "classical_level must be an integer" in capsys.readouterr().err
+        assert "workers must be an integer" in capsys.readouterr().err
 
 
 def test_run_sample_log_flag(tmp_path):
@@ -678,6 +696,22 @@ def test_report_malformed_exits_5(tmp_path, capsys):
     assert main(["report", str(bad)]) == 5
     _write(bad, {**_fake_report("S1", 10.0), "estimate": True})  # printed as 1
     assert main(["report", str(bad)]) == 5
+    # Each of these once printed a traceback and exited 1, or printed "nan".
+    for entry in (
+        {"estimate": 10**400},  # too large for a float
+        {"realized_load": -(10**400)},
+        {"estimated_std_error": math.nan},
+        *({"plan": {**_fake_report("S1", 10.0)["plan"], "strategy": s}}
+          for s in (None, ["S1"], {"S1": 1})),
+    ):
+        _write(bad, {**_fake_report("S1", 10.0), **entry})
+        assert main(["report", str(bad)]) == 5
+        assert "error: malformed report: " in capsys.readouterr().err
+    # Past the interpreter's digit limit, and not UTF-8: both once exited 2.
+    bad.write_text('{"estimate": ' + "1" * 5000 + "}")
+    assert main(["report", str(bad)]) == 5
+    bad.write_bytes(b'{"estimate": "\xff"}')
+    assert main(["report", str(bad)]) == 5
     assert main(["report", str(tmp_path / "absent.json")]) == 5
     capsys.readouterr()
 
@@ -693,7 +727,6 @@ def test_config_round_trip():
         "parameters": {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": 1.0},
         "pilot_samples": 128,
         "base_seed": 9,
-        "classical_level": 2,
         "workers": 2,
         "sample_log": "s.csv",
         "out": "r.json",

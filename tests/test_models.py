@@ -541,6 +541,8 @@ def test_gbm_spec_rejects_values_that_are_not_finite():
         ("S0", math.nan), ("T", math.inf), ("T", math.nan),
         # True counted as 1 and False as 0.
         ("S0", True), ("r_drift", True), ("vol", True), ("vol", False), ("T", True),
+        # An int too large for a float raised OverflowError.
+        ("S0", 10**400), ("r_drift", -(10**400)), ("T", 10**400),
     ):
         with pytest.raises(ValueError, match=f"{name} must be"):
             GBMSpec(**{name: bad})
@@ -553,7 +555,7 @@ def test_gbm_spec_rejects_values_that_are_not_finite():
 CONTRACT_MODELS = {
     "gbm": GBMModel,
     "two_scale": TwoScaleModel,
-    "burgers": lambda: BurgersModel(BurgersSpec(cells_at_finest=32, max_level=2)),
+    "burgers": lambda: BurgersModel(BurgersSpec(cells_at_finest=32, max_level=3)),
 }
 
 
@@ -594,6 +596,15 @@ def test_model_batch_contract(name, monkeypatch):
         assert model.evaluate_levels(levels, []).shape == (len(levels), 0)
         listed = model.evaluate_levels(list(levels), seeds[:5].tolist())
         assert listed.tobytes() == stacked[:, :5].copy().tobytes()
+    # A row depends only on its own level, not on the other levels asked
+    # for or their order: a subset that skips a level, and its reverse.
+    for m in (model, clone):
+        assert m.evaluate_levels((1, 3), seeds)[1].tobytes() == (
+            m.evaluate_levels((3,), seeds)[0].tobytes()
+        )
+        assert m.evaluate_levels((3, 1), seeds).tobytes() == (
+            np.stack([batches[3], batches[1]]).tobytes()
+        )
     for level in (0, model.max_level + 1, True, 2.5, "2"):
         for bad in (seeds[:1], []):
             with pytest.raises(ValueError):

@@ -328,7 +328,14 @@ def test_parameters_validation():
 
 
 @pytest.mark.parametrize("name", ["delta", "e", "alpha", "sigma"])
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        math.inf, -math.inf, math.nan,
+        # Ints too large for a float: math.isfinite raised OverflowError.
+        pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400"),
+    ],
+)
 def test_parameters_reject_non_finite_values(name, bad):
     kwargs = {"delta": 1.0, "e": 0.1, "alpha": 1.0, "sigma": 1.0, name: bad}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
