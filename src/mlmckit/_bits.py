@@ -12,6 +12,8 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
+from ._checks import _whole
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
@@ -97,10 +99,8 @@ def counter_seeds(base_seed, start, count):
     own order — so counter 0 of base 0 never hits the finalizer's fixed
     point at zero.
     """
-    if not 0 <= base_seed <= MASK64:
-        raise ValueError(f"base_seed must be a 64-bit unsigned integer, got {base_seed}")
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be non-negative")
+    base_seed = _whole("base_seed", base_seed, 0, MASK64)
+    start, count = _whole("start", start, 0, None), _whole("count", count, 0, None)
     states = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     states *= np.uint64(GOLDEN)
     states += np.uint64(base_seed)
@@ -126,10 +126,9 @@ def normal_lanes(seeds, n, out=None, groups=1):
     it is a new array in that layout.  It never shares memory with scratch.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not isinstance(groups, (int, np.integer)) or groups is True or groups < 1 or n % groups:
-        raise ValueError(f"groups must be an integer >= 1 dividing n={n}, got {groups!r}")
+    n, groups = _whole("n", n, 0, None), _whole("groups", groups, 1, None)
+    if n % groups:
+        raise ValueError(f"groups must divide n={n}, got {groups}")
     if out is None:
         out = np.empty((n, seeds.size)).T
     elif out.shape != (seeds.size, n) or out.dtype != np.float64:

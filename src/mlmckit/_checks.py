@@ -1,17 +1,23 @@
-"""Argument checks shared by the planner, executor, models and CLI."""
+"""Argument checks shared by every module: one rule for numbers.
+
+A whole number (a count, a level, a seed) is a real number with no
+fractional part, so 2.0 is taken as 2; a real is a finite real number,
+and ``> 0`` or ``>= 0`` where the caller says so.  A bool, numpy's
+included, is neither.  A rejected value raises ``ValueError`` naming the
+argument.
+"""
 
 import math
 import numbers
 import os
 
-from ._bits import MASK64
-
 
 def _whole(name, value, low, high):
     """``value`` as an int within ``low..high`` (no upper limit if None); 2.0 is 2."""
     try:
-        ok = not isinstance(value, bool) and int(value) == value
-    except (TypeError, ValueError, OverflowError):
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = ok and int(value) == value
+    except (ValueError, OverflowError):  # int() of a NaN or an infinity
         ok = False
     if not ok or value < low or (high is not None and value > high):
         within = f">= {low}" if high is None else f"within {low}..{high}"
@@ -19,29 +25,18 @@ def _whole(name, value, low, high):
     return int(value)
 
 
-def _finite(name, value, positive=False):
-    """``value`` as a float; reject it unless it is a finite real number (a
-    bool is not one, nor an int too large for a float), and above zero if
-    ``positive``."""
+def _finite(name, value, sign=None):
+    """``value`` as a float; reject it unless it is a finite real number (an
+    int too large for a float is not one), and also, for a ``sign`` of
+    ``"> 0"`` or ``">= 0"``, unless it is above or not below zero."""
     try:
-        ok = (
-            not isinstance(value, bool)
-            and isinstance(value, numbers.Real)
-            and math.isfinite(value)
-        )
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value)
     except OverflowError:  # math.isfinite(10**400)
         ok = False
-    if not ok or (positive and not value > 0):
-        rule = "> 0 and finite" if positive else "finite and real"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    if not ok or (sign == "> 0" and not value > 0) or (sign == ">= 0" and not value >= 0):
+        raise ValueError(f"{name} must be finite and {sign or 'real'}, got {value!r}")
     return float(value)
-
-
-def _check_base_seed(base_seed):
-    if not isinstance(base_seed, int) or isinstance(base_seed, bool):
-        raise ValueError(f"base_seed must be an integer, got {base_seed!r}")
-    if not 0 <= base_seed <= MASK64:
-        raise ValueError(f"base_seed must fit in 64 bits, got {base_seed}")
 
 
 def _usable_cpus():
@@ -50,14 +45,3 @@ def _usable_cpus():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _check_workers(workers):
-    """``workers`` as a thread count: the usable CPUs for None."""
-    if workers is None:
-        return _usable_cpus()
-    if not isinstance(workers, int) or isinstance(workers, bool):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers

@@ -279,6 +279,9 @@ def cmd_run(args):
     }
     cfg = _load_config(args.config, overrides)
     _check_writable(cfg.out, cfg.sample_log)
+    log = cfg.sample_log
+    if log is not None and os.path.realpath(log) == os.path.realpath(cfg.out):
+        raise _UsageError(f"cannot write {log}: it is the same file as out {cfg.out}")
     model = model_from_config(cfg.model)
 
     plan = _resolve_plan(cfg, model)

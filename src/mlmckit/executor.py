@@ -71,8 +71,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._bits import counter_seeds, mix64_int
-from ._checks import _check_base_seed, _check_workers, _whole
+from ._bits import MASK64, counter_seeds, mix64_int
+from ._checks import _usable_cpus, _whole
 from .planner import LevelPlan, StrategyId, _classical_plan, load
 from .stats import (
     LevelTermStats,
@@ -447,8 +447,8 @@ def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
     None (the default) means the usable CPUs, 1 a serial run without a
     pool.  The report's bytes do not depend on it.
     """
-    _check_base_seed(base_seed)
-    workers = _check_workers(workers)
+    base_seed = _whole("base_seed", base_seed, 0, MASK64)
+    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     if plan.strategy is StrategyId.CLASSICAL_MC:
         raise ValueError("classical plans are executed with run_classical_mc")
     if plan.L > model.max_level:
@@ -465,8 +465,8 @@ def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=N
     The report's plan is the classical plan for ``M`` without inputs;
     ``workers`` is as for :func:`run_mlmc`.
     """
-    _check_base_seed(base_seed)
-    workers = _check_workers(workers)
+    base_seed = _whole("base_seed", base_seed, 0, MASK64)
+    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     M = _whole("M", M, 1, None)
     level = _whole("level", level, 1, model.max_level)
     return _run_terms(model, _classical_plan(M), [[level]], base_seed, workers, sample_log_path)
@@ -482,8 +482,8 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     are never reused by a later run with the same base_seed.  ``workers`` is
     as for :func:`run_mlmc`.
     """
-    _check_base_seed(base_seed)
-    workers = _check_workers(workers)
+    base_seed = _whole("base_seed", base_seed, 0, MASK64)
+    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
         raise ValueError(

@@ -40,12 +40,8 @@ class GBMSpec:
     max_level: int = 4
 
     def __post_init__(self):
-        for name in ("S0", "T"):
-            _finite(name, getattr(self, name), positive=True)
-        for name in ("r_drift", "vol"):
-            _finite(name, getattr(self, name))
-        if self.vol < 0:
-            raise ValueError(f"vol must be >= 0, got {self.vol}")
+        for name, sign in (("S0", "> 0"), ("T", "> 0"), ("r_drift", None), ("vol", ">= 0")):
+            _finite(name, getattr(self, name), sign)
         for name in ("steps_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         halvings = 2 ** (self.max_level - 1)
@@ -147,9 +143,7 @@ class TopographySpec:
     l_range: tuple = (4, 20)
 
     def __post_init__(self):
-        _finite("H", self.H)
-        if self.H < 0:
-            raise ValueError(f"H must be >= 0, got {self.H}")
+        _finite("H", self.H, ">= 0")
         for name in ("k_range", "l_range"):
             lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
             if hi < lo:
@@ -189,7 +183,7 @@ class BurgersSpec:
 
     def __post_init__(self):
         for name in ("viscosity", "domain_length", "time_horizon"):
-            _finite(name, getattr(self, name), positive=True)
+            _finite(name, getattr(self, name), "> 0")
         for name in ("cells_at_finest", "max_level"):
             object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
         halvings = 2 ** (self.max_level - 1)
@@ -343,10 +337,8 @@ class TwoScaleModel(QoIModel):
 
     def __init__(self, max_level=16, alpha=1.0, amp=0.5):
         self.max_level = _whole("max_level", max_level, 1, None)
-        _finite("alpha", alpha, positive=True)
-        _finite("amp", amp, positive=True)
-        self.alpha = float(alpha)
-        self.amp = float(amp)
+        self.alpha = _finite("alpha", alpha, "> 0")
+        self.amp = _finite("amp", amp, "> 0")
 
     def _scale(self, level):
         return self.amp * 2.0 ** (self.alpha * (level - 1))

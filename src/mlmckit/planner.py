@@ -73,7 +73,7 @@ class LevelPlan:
         if self.strategy is StrategyId.CLASSICAL_MC and len(M) != 1:
             raise ValueError(f"strategy {self.strategy.value} has one term, got M {list(M)}")
         object.__setattr__(self, "M", M)
-        multiplier = _finite("error_bound_multiplier", self.error_bound_multiplier, positive=True)
+        multiplier = _finite("error_bound_multiplier", self.error_bound_multiplier, "> 0")
         object.__setattr__(self, "error_bound_multiplier", multiplier)
 
     @property
@@ -150,9 +150,7 @@ def relative_dof(level):
     is exactly 8^-(level-1); a power of two, so the float is exact until
     underflow.
     """
-    if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-        raise ValueError(f"level must be an integer >= 1, got {level!r}")
-    return 8.0 ** (-(level - 1))
+    return 8.0 ** (-(_whole("level", level, 1, None) - 1))
 
 
 def term_levels(L):
@@ -298,10 +296,8 @@ def classify_cost_regime(strategy, alpha, sigma=1.0):
     The classical baseline is polynomial for every alpha.
     """
     strategy = StrategyId(strategy)
-    _finite("alpha", alpha)
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    _finite("sigma", sigma, positive=True)
+    _finite("alpha", alpha, ">= 0")
+    _finite("sigma", sigma, "> 0")
 
     def g(x):
         return format(x, ".4g")

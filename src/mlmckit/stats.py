@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._checks import _finite
+from ._checks import _finite, _whole
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class LevelTermStats:
     """Summary of one telescoping term: its mean, spread, and sample count.
 
     ``variance`` is the unbiased sample variance and is only defined for
-    ``count >= 2``; a single-sample term reports ``None``.
+    ``count >= 2``; a single-sample term reports ``None``.  ``term_index``
+    and ``count`` are whole numbers >= 1, and the mean and variance finite.
     """
 
     term_index: int
@@ -42,15 +43,13 @@ class LevelTermStats:
     count: int
 
     def __post_init__(self):
-        if self.term_index < 1:
-            raise ValueError(f"term_index must be >= 1, got {self.term_index}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+        for name in ("term_index", "count"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
+        object.__setattr__(self, "mean", _finite("mean", self.mean))
         if self.variance is not None:
             if self.count < 2:
                 raise ValueError("variance requires count >= 2")
-            if self.variance < 0:
-                raise ValueError(f"variance must be >= 0, got {self.variance}")
+            object.__setattr__(self, "variance", _finite("variance", self.variance, ">= 0"))
 
     def to_json_dict(self):
         return {
@@ -88,16 +87,8 @@ class SolutionParameters:
     sigma: float = 1.0
 
     def __post_init__(self):
-        for name in ("delta", "e", "alpha", "sigma"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.e > 0:
-            raise ValueError(f"e must be positive, got {self.e}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name, sign in (("delta", "> 0"), ("e", "> 0"), ("alpha", ">= 0"), ("sigma", "> 0")):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), sign))
 
     def to_json_dict(self):
         return {"delta": self.delta, "e": self.e, "alpha": self.alpha, "sigma": self.sigma}
@@ -211,10 +202,8 @@ def estimate_alpha(delta_12, delta_23):
     spreads *less*) signals a non-convergent ladder; it is returned as-is
     with a RuntimeWarning rather than clamped.
     """
-    if not delta_12 > 0 or not delta_23 > 0:
-        raise ValueError(
-            f"spreads must be positive, got delta_12={delta_12}, delta_23={delta_23}"
-        )
+    _finite("delta_12", delta_12, "> 0")
+    _finite("delta_23", delta_23, "> 0")
     alpha = math.log2(delta_23 / delta_12)
     if alpha < 0:
         warnings.warn(
@@ -231,8 +220,6 @@ def estimate_fine_error(delta_12, alpha):
 
     Inverts the sizing identity delta_12 = e * sqrt(2 (1 + 4^alpha)).
     """
-    if not delta_12 > 0:
-        raise ValueError(f"delta_12 must be positive, got {delta_12}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _finite("delta_12", delta_12, "> 0")
+    _finite("alpha", alpha, ">= 0")
     return delta_12 / math.sqrt(2.0 * (1.0 + 4.0**alpha))

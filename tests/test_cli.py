@@ -297,11 +297,15 @@ NO_DIR = "/nonexistent/dir/x.json"
         (["run", "--sample-log", NO_DIR], {}),
         (["run"], {"out": NO_DIR}),
         (["run"], {"sample_log": NO_DIR}),
+        # A sample log at the report's path: the report overwrote the log.
+        (["run"], {"sample_log": "r.json", "out": "r.json"}),
+        (["run", "--sample-log", "r.json", "--out", "./r.json"], {}),
     ],
 )
 def test_an_output_that_cannot_be_written_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, argv, entries
 ):
+    monkeypatch.chdir(tmp_path)
     calls = []
     evaluate = models.TwoScaleModel.evaluate_levels
 

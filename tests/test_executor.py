@@ -178,7 +178,7 @@ def test_run_mlmc_rejections():
             run_mlmc(model, _plan(StrategyId.S2, (4, 4)), bad_seed)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, 1.0, True, "2"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "2"])
 def test_every_runner_rejects_bad_worker_counts(bad):
     model = TwoScaleModel()
     with pytest.raises(ValueError):
@@ -187,6 +187,20 @@ def test_every_runner_rejects_bad_worker_counts(bad):
         run_classical_mc(model, 1, 10, 0, workers=bad)
     with pytest.raises(ValueError):
         pilot_estimate_parameters(model, 64, 0, workers=bad)
+
+
+def test_whole_number_floats_run_as_the_integers():
+    # The API rejected base_seed=3.0 and workers=2.0, which a config took.
+    model, plan = TwoScaleModel(), _plan(StrategyId.S2, (SPAN, 300))
+    runs = [
+        (
+            json.dumps(run_mlmc(model, plan, seed, workers=w).to_json_dict()),
+            json.dumps(run_classical_mc(model, 2, SPAN, seed, workers=w).to_json_dict()),
+            pilot_estimate_parameters(model, 4096, seed, workers=w),
+        )
+        for seed, w in ((3, 2), (3.0, 2.0))
+    ]
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,8 @@ def test_whole_number_float_spec_fields_become_ints():
             GBMSpec(steps_at_finest=bad)
         with pytest.raises(ValueError, match="cells_at_finest must be an integer"):
             BurgersSpec(cells_at_finest=bad)
-    for bad in (4.5, True, "4", None, 0):
+    # numpy's True built a one-level spec.
+    for bad in (4.5, True, np.True_, "4", None, 0):
         with pytest.raises(ValueError, match="max_level must be an integer"):
             GBMSpec(max_level=bad)
         with pytest.raises(ValueError, match="max_level must be an integer"):
@@ -528,9 +529,9 @@ def test_two_scale_parameters_are_whole_and_finite():
     assert m.max_level == 4 and type(m.max_level) is int
     # NaN and inf failed only when a run evaluated them; True ran as 1.0.
     for bad in (math.nan, math.inf, -math.inf, True):
-        with pytest.raises(ValueError, match="alpha must be > 0 and finite"):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
             TwoScaleModel(alpha=bad)
-        with pytest.raises(ValueError, match="amp must be > 0 and finite"):
+        with pytest.raises(ValueError, match="amp must be finite and > 0"):
             TwoScaleModel(amp=bad)
 
 

@@ -36,6 +36,7 @@ def _round_half_up(x):
 def test_relative_dof_ladder():
     assert relative_dof(1) == 1.0
     assert relative_dof(2) == 0.125
+    assert relative_dof(2.0) == 0.125  # a whole-number float, as in a config
     assert relative_dof(3) == 1.0 / 64.0
     assert relative_dof(4) == 1.0 / 512.0
 

@@ -132,7 +132,7 @@ def test_normal_lanes_into_out_equal_a_fresh_result(layout, n):
         with pytest.raises(ValueError):
             normal_lanes(seeds, n, out=bad)
     # A groups that is not a whole number >= 1 dividing n fails before any draw.
-    for groups in (0, 3, True, 2.5):
+    for groups in (0, 3, True, np.True_, 2.5):
         out = empty()
         with pytest.raises(ValueError, match="groups"):
             normal_lanes(seeds, n, out=out, groups=groups)

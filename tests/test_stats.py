@@ -257,6 +257,14 @@ def test_level_term_stats_validation():
         LevelTermStats(term_index=1, mean=0.0, variance=-1.0, count=5)
     with pytest.raises(ValueError):
         LevelTermStats(term_index=1, mean=0.0, variance=None, count=0)
+    # A bool index, an infinite mean or variance and a string mean were accepted.
+    with pytest.raises(ValueError, match="term_index"):
+        LevelTermStats(term_index=True, mean=0.0, variance=None, count=1)
+    for mean in (math.inf, "0.5"):
+        with pytest.raises(ValueError, match="mean"):
+            LevelTermStats(term_index=1, mean=mean, variance=None, count=1)
+    with pytest.raises(ValueError, match="variance"):
+        LevelTermStats(term_index=1, mean=0.0, variance=math.inf, count=5)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +296,9 @@ def test_alpha_rejects_nonpositive_spreads():
         estimate_alpha(0.0, 1.0)
     with pytest.raises(ValueError):
         estimate_alpha(1.0, -2.0)
+    # An infinite spread gave alpha = inf.
+    with pytest.raises(ValueError, match="delta_23"):
+        estimate_alpha(1.0, math.inf)
 
 
 def test_fine_error_known_value():
@@ -309,6 +320,9 @@ def test_fine_error_validation():
         estimate_fine_error(0.0, 1.0)
     with pytest.raises(ValueError):
         estimate_fine_error(1.0, -0.5)
+    # An infinite spread gave e = inf.
+    with pytest.raises(ValueError, match="delta_12"):
+        estimate_fine_error(math.inf, 1.0)
 
 
 # ---------------------------------------------------------------------------
