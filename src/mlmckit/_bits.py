@@ -12,7 +12,7 @@ import threading
 import numpy as np
 from scipy.special import ndtri
 
-from ._checks import _whole
+from ._checks import _seeds, _whole
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -125,7 +125,7 @@ def normal_lanes(seeds, n, out=None, groups=1):
     (n, len(seeds)) array is the fast layout) and returned; without ``out``
     it is a new array in that layout.  It never shares memory with scratch.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    seeds = _seeds(seeds)
     n, groups = _whole("n", n, 0, None), _whole("groups", groups, 1, None)
     if n % groups:
         raise ValueError(f"groups must divide n={n}, got {groups}")

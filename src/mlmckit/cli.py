@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
-from ._checks import _finite, _whole
+from ._checks import _finite, _known_keys, _whole
 from .executor import (
     DegenerateModelError,
     ModelEvaluationError,
@@ -46,10 +46,6 @@ _STRATEGY_FLAGS = {
 }
 
 
-class _UsageError(ValueError):
-    """Config/flag problems that map to exit code 2."""
-
-
 class _BadReport(ValueError):
     """A report file the ``report`` command cannot read; maps to exit code 5."""
 
@@ -74,7 +70,7 @@ def _sig4(x):
 
 
 def _check_writable(*paths):
-    """Raise a usage error, before any work, for an output that cannot be written.
+    """Raise ValueError, before any work, for an output that cannot be written.
 
     An existing path must be a writable file; a new one needs a writable
     directory.  A None path is skipped.  Nothing is opened: on a 2-vCPU
@@ -94,7 +90,7 @@ def _check_writable(*paths):
         else:
             reason = None if os.access(parent, os.W_OK) else f"directory {parent} is not writable"
         if reason is not None:
-            raise _UsageError(f"cannot write {path}: {reason}")
+            raise ValueError(f"cannot write {path}: {reason}")
 
 
 def _write_json(path, obj):
@@ -125,13 +121,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, d):
-        if not isinstance(d, dict):
-            raise _UsageError("config must be a JSON object")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise _UsageError(f"unknown config keys: {unknown}")
+        _known_keys("config", d, [f.name for f in fields(cls)])
         if "model" not in d:
-            raise _UsageError('config is missing the required "model" entry')
+            raise ValueError('config is missing the required "model" entry')
         cfg = cls(model=d["model"])
         for key, value in d.items():
             if value is not None:
@@ -153,11 +145,11 @@ class RunConfig:
                 if value is not None or key == "model":
                     parse(value)
             except (AttributeError, KeyError, TypeError, OverflowError) as exc:
-                raise _UsageError(f"malformed {key} {value!r}: {exc!r}") from exc
+                raise ValueError(f"malformed {key} {value!r}: {exc!r}") from exc
         if self.strategy is not None and not (
             isinstance(self.strategy, str) and self.strategy in _STRATEGY_FLAGS
         ):
-            raise _UsageError(
+            raise ValueError(
                 f"strategy must be one of {sorted(_STRATEGY_FLAGS)}, got {self.strategy!r}"
             )
         # Whole-number fields become ints here, once, so that 2.0 in a config
@@ -169,7 +161,7 @@ class RunConfig:
         for key in ("sample_log", "out"):
             value = getattr(self, key)
             if not (isinstance(value, str) or key == "sample_log" and value is None):
-                raise _UsageError(f"{key} must be a path, got {value!r}")
+                raise ValueError(f"{key} must be a path, got {value!r}")
 
 
 def _load_config(path, overrides):
@@ -178,9 +170,9 @@ def _load_config(path, overrides):
         with open(path) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path} is not valid JSON: {exc}")
+        raise ValueError(f"config {path} is not valid JSON: {exc}")
     if isinstance(raw, dict):
         raw.update((k, v) for k, v in overrides.items() if v is not None)
     return RunConfig.from_json_dict(raw)
@@ -189,14 +181,6 @@ def _load_config(path, overrides):
 # ---------------------------------------------------------------------------
 # plan
 # ---------------------------------------------------------------------------
-
-def _size(strategy, params, max_levels):
-    """``plan_for_strategy``, with a sample count that overflows as a usage error."""
-    try:
-        return plan_for_strategy(strategy, params, max_levels=max_levels)
-    except OverflowError as exc:
-        raise _UsageError(f"cannot size a plan from {params}: {exc}") from exc
-
 
 def cmd_plan(args):
     _check_writable(args.out)
@@ -207,7 +191,7 @@ def cmd_plan(args):
         chosen = list(StrategyId)
     else:
         chosen = [_STRATEGY_FLAGS[args.strategy]]
-    plans = [_size(s, params, args.max_levels) for s in chosen]
+    plans = [plan_for_strategy(s, params, max_levels=args.max_levels) for s in chosen]
 
     header = f"{'strategy':<12} {'L':>2}  {'M':<28} {'bound/e':>7} {'load':>10}"
     print(header)
@@ -253,20 +237,20 @@ def _resolve_plan(cfg, model):
     if cfg.plan is not None:
         plan = LevelPlan.from_json_dict(cfg.plan)
         if cfg.strategy is not None and _STRATEGY_FLAGS[cfg.strategy] is not plan.strategy:
-            raise _UsageError(
+            raise ValueError(
                 f"config strategy {cfg.strategy!r} does not match the embedded "
                 f"plan's strategy {plan.strategy.value!r}"
             )
         return plan
     if cfg.strategy is None:
-        raise _UsageError('config needs a "strategy" when no plan is embedded')
+        raise ValueError('config needs a "strategy" when no plan is embedded')
     if cfg.parameters is not None:
         params = SolutionParameters.from_json_dict(cfg.parameters)
     else:
         params = pilot_estimate_parameters(
             model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
         )
-    return _size(_STRATEGY_FLAGS[cfg.strategy], params, model.max_level)
+    return plan_for_strategy(_STRATEGY_FLAGS[cfg.strategy], params, max_levels=model.max_level)
 
 
 def cmd_run(args):
@@ -281,7 +265,7 @@ def cmd_run(args):
     _check_writable(cfg.out, cfg.sample_log)
     log = cfg.sample_log
     if log is not None and os.path.realpath(log) == os.path.realpath(cfg.out):
-        raise _UsageError(f"cannot write {log}: it is the same file as out {cfg.out}")
+        raise ValueError(f"cannot write {log}: it is the same file as out {cfg.out}")
     model = model_from_config(cfg.model)
 
     plan = _resolve_plan(cfg, model)

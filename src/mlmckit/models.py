@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import _tiles, normal_lanes, scratch
-from ._checks import _finite, _whole
+from ._checks import _finite, _known_keys, _seeds, _whole
 from .executor import ModelEvaluationError, QoIModel
 
 
@@ -112,7 +112,7 @@ class GBMModel(QoIModel):
 
     def evaluate_many(self, level, seeds):
         self.spec.steps_at_level(level)  # rejects a level out of range
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        seeds = _seeds(seeds)
         out = np.empty(seeds.size)
         for tile in _tiles(seeds.size, self.spec.steps_at_finest):
             _gbm_batch(self.spec, level, seeds[tile], out[tile])
@@ -300,7 +300,7 @@ class BurgersModel(QoIModel):
         """Every level from one draw of the forcing lanes of each seed."""
         spec = self.spec
         cells = [spec.cells_at_level(lv) for lv in levels]
-        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        seeds = _seeds(seeds)
         lanes = normal_lanes(seeds, 2 * spec.forcing.n_k).T
         T = spec.time_horizon
         out = np.empty((len(levels), seeds.size))
@@ -349,7 +349,7 @@ class TwoScaleModel(QoIModel):
     def evaluate_levels(self, levels, seeds):
         """Every level from one draw of the two normals of each seed."""
         scales = [self._scale(_whole("level", lv, 1, self.max_level)) for lv in levels]
-        lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64).ravel(), 2)
+        lanes = normal_lanes(seeds, 2)
         out = np.multiply.outer(scales, lanes[:, 1])
         out += lanes[:, 0]
         return out
@@ -364,11 +364,8 @@ _MODEL_KINDS = ("gbm", "burgers", "two_scale")
 
 def model_from_config(d):
     """Build a model from a config mapping {"kind": ..., "spec": {...}}."""
-    try:
-        kind = d["kind"]
-    except (KeyError, TypeError):
-        raise ValueError('model config must be a mapping with a "kind" entry')
-    spec = d.get("spec", {}) or {}
+    _known_keys("model", d, ("kind", "spec"))
+    kind, spec = d.get("kind"), d.get("spec") or {}
     if kind == "gbm":
         return GBMModel(GBMSpec.from_json_dict(spec))
     if kind == "burgers":

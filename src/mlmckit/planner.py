@@ -20,11 +20,11 @@ Conventions (fixed):
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Optional
 
-from ._checks import _finite, _whole
+from ._checks import _finite, _known_keys, _whole
 from .stats import SolutionParameters
 
 
@@ -58,7 +58,8 @@ class LevelPlan:
     ``M[l-1]`` is the sample count of term l; the levels each term evaluates
     are :func:`term_levels` of ``L``.  ``L``, ``M_total`` (solves per level,
     adjacent terms sharing realizations) and ``relative_load`` (in units of
-    one finest-level solve) are computed from ``M``.
+    one finest-level solve) are computed from ``M``.  ``strategy`` may be a
+    StrategyId's value; ``inputs`` is None or a SolutionParameters.
     """
 
     strategy: StrategyId
@@ -67,11 +68,14 @@ class LevelPlan:
     inputs: Optional[SolutionParameters]
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy", StrategyId(self.strategy))
         M = tuple(_whole("M", m, 1, None) for m in self.M)
         if not M:
             raise ValueError("a plan needs at least one term")
         if self.strategy is StrategyId.CLASSICAL_MC and len(M) != 1:
             raise ValueError(f"strategy {self.strategy.value} has one term, got M {list(M)}")
+        if not (self.inputs is None or isinstance(self.inputs, SolutionParameters)):
+            raise ValueError(f"inputs must be None or a SolutionParameters, got {self.inputs!r}")
         object.__setattr__(self, "M", M)
         multiplier = _finite("error_bound_multiplier", self.error_bound_multiplier, "> 0")
         object.__setattr__(self, "error_bound_multiplier", multiplier)
@@ -112,11 +116,10 @@ class LevelPlan:
     def from_json_dict(cls, d):
         """The plan of a :meth:`to_json_dict` mapping, whose copies of ``L``,
         ``M_total`` and ``relative_load`` must equal what its ``M`` gives."""
+        _known_keys("plan", d, [f.name for f in fields(cls)] + ["L", "M_total", "relative_load"])
         inputs = d.get("inputs")
-        if inputs is not None:
-            inputs = SolutionParameters.from_json_dict(inputs)
-        strategy = StrategyId(d["strategy"])
-        plan = cls(strategy, tuple(d["M"]), d["error_bound_multiplier"], inputs)
+        inputs = None if inputs is None else SolutionParameters.from_json_dict(inputs)
+        plan = cls(d["strategy"], tuple(d["M"]), d["error_bound_multiplier"], inputs)
         for key, parse in (
             ("L", lambda v: _whole("L", v, 1, None)),
             ("M_total", lambda v: tuple(_whole("M_total", m, 1, None) for m in v)),
@@ -130,17 +133,13 @@ class LevelPlan:
         return plan
 
 
-def _round_half_up(x):
-    return int(math.floor(x + 0.5))
-
-
 def _base_factor(alpha):
     # 2 (1 + 4^alpha): the sample-count prefactor shared by every strategy.
     return 2.0 * (1.0 + 4.0**alpha)
 
 
 def _clamp_count(x):
-    return max(1, _round_half_up(x))
+    return max(1, math.floor(x + 0.5))  # rounded half up
 
 
 def relative_dof(level):
@@ -227,7 +226,8 @@ def plan_for_strategy(strategy, p, max_levels=None):
     """Size the plan of ``strategy`` (a StrategyId or its value) from ``p``.
 
     ``max_levels``, a whole number >= 1 (10.0 is 10), caps the ladder at
-    what a model can resolve.
+    what a model can resolve.  Inputs whose sample count or sizing factor
+    overflows a float raise ValueError ("cannot size a plan from ...").
 
     * ClassicalMC: the single-level baseline, M = delta^2/e^2 samples at the
       finest level; bound 2e.  The cap has nothing to cut.
@@ -247,26 +247,29 @@ def plan_for_strategy(strategy, p, max_levels=None):
     strategy = StrategyId(strategy)
     if max_levels is not None:
         max_levels = _whole("max_levels", max_levels, 1, None)
-    m_classical = _clamp_count((p.delta / p.e) ** 2)
-    if strategy is StrategyId.CLASSICAL_MC:
-        return _classical_plan(m_classical, p)
-    L = _level_count(strategy, p)
-    if L is None:
-        if max_levels is None or max_levels >= _S4_SCAN_CAP:
-            raise ValueError(
-                f"no ladder of <= {_S4_SCAN_CAP} levels meets the statistical "
-                f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
-            )
-        L = max_levels  # ladder capped by the model; closure restores the bound
-    elif max_levels is not None:
-        L = min(L, max_levels)
-    if strategy is StrategyId.S1:
-        multiplier = float(L + 2)
-    elif strategy is StrategyId.S2:
-        multiplier = 4.0
-    else:
-        multiplier = 3.0 + 1.0 / p.sigma
-    M = [_clamp_count(x) for x in _unrounded_sizes(strategy, p, L)]
+    try:
+        m_classical = _clamp_count((p.delta / p.e) ** 2)
+        if strategy is StrategyId.CLASSICAL_MC:
+            return _classical_plan(m_classical, p)
+        L = _level_count(strategy, p)
+        if L is None:
+            if max_levels is None or max_levels >= _S4_SCAN_CAP:
+                raise ValueError(
+                    f"no ladder of <= {_S4_SCAN_CAP} levels meets the statistical "
+                    f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
+                )
+            L = max_levels  # ladder capped by the model; closure restores the bound
+        elif max_levels is not None:
+            L = min(L, max_levels)
+        if strategy is StrategyId.S1:
+            multiplier = float(L + 2)
+        elif strategy is StrategyId.S2:
+            multiplier = 4.0
+        else:
+            multiplier = 3.0 + 1.0 / p.sigma
+        M = [_clamp_count(x) for x in _unrounded_sizes(strategy, p, L)]
+    except OverflowError as exc:  # a count or a ** factor past the float range
+        raise ValueError(f"cannot size a plan from {p}: {exc}") from exc
     # Coarsest-term closure: the statistical error of the last term must not
     # exceed e, i.e. M_L >= delta^2/e^2.  The formula already guarantees this
     # when L comes from its own ceiling; when a max_levels cap shortened the

@@ -19,13 +19,12 @@ block's buffers whatever the sample count; only the cases left to
 """
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from ._checks import _finite, _whole
+from ._checks import _finite, _known_keys, _whole
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,8 @@ class SolutionParameters:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(delta=d["delta"], e=d["e"], alpha=d["alpha"], sigma=d.get("sigma", 1.0))
+        _known_keys("parameters", d, [f.name for f in fields(cls)])
+        return cls(**d)
 
 
 def _values(s):
@@ -198,21 +198,13 @@ def estimate_alpha(delta_12, delta_23):
     """Decay exponent from the spreads of two adjacent coupled differences.
 
     The coupled differences shrink by 2^alpha per refinement, so
-    alpha = log2(delta_23 / delta_12).  A negative result (the coarser pair
-    spreads *less*) signals a non-convergent ladder; it is returned as-is
-    with a RuntimeWarning rather than clamped.
+    alpha = log2(delta_23 / delta_12), returned with either sign.  A negative
+    result (the coarser pair spreads *less*) signals a non-convergent ladder,
+    which :func:`~mlmckit.executor.pilot_estimate_parameters` rejects.
     """
     _finite("delta_12", delta_12, "> 0")
     _finite("delta_23", delta_23, "> 0")
-    alpha = math.log2(delta_23 / delta_12)
-    if alpha < 0:
-        warnings.warn(
-            f"estimated alpha = {alpha:.4g} is negative: coupled differences "
-            "grow toward finer levels (non-convergent ladder)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return alpha
+    return math.log2(delta_23 / delta_12)
 
 
 def estimate_fine_error(delta_12, alpha):

@@ -201,6 +201,7 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         {"kind": "burgers", "spec": {"forcing": {"H": 5.0, "Ly": 1.0}}},
         {"kind": "burgers", "spec": {"viscosity": float("inf")}},
         {"kind": "burgers", "spec": {"viscosity": True}},
+        {"kind": "gbm", "sepc": {"vol": 0.3}},
     ],
     ids=[
         "two_scale_max_level",
@@ -220,11 +221,12 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         "burgers_forcing_Ly",
         "burgers_viscosity_inf",
         "burgers_viscosity_bool",
+        "model_unknown_key",
     ],
 )
 def test_model_spec_values_a_run_cannot_use_exit_2(tmp_path, capsys, model):
     # A two_scale "max_level": 3.5 was truncated to 3 and ran; a misspelt
-    # two_scale or forcing key was ignored and the run took the defaults.
+    # two_scale, forcing or model key was ignored and the run took the defaults.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": model, "strategy": "s1"}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
@@ -445,6 +447,8 @@ TWO_TERMS = {"strategy": "S2", "L": 2, "M": [1, 3], "M_total": [1, 4],
         {"relative_load": 1.25},
         # A classical plan has one term; this one ran M[0] and reported M.
         {"strategy": "ClassicalMC"},
+        # An unknown key was ignored and the plan ran.
+        {"bogus": 1},
     ],
 )
 def test_run_embedded_plan_with_bad_fields_exits_2(tmp_path, capsys, entry):
@@ -586,6 +590,15 @@ def test_a_coupled_difference_that_overflows_exits_3(
     err = capsys.readouterr().err
     assert err.startswith("error: levels 1-2 coupled difference overflows a float at seed ")
     assert not (tmp_path / "r.json").exists()
+
+
+def test_run_parameters_with_an_unknown_key_exit_2(tmp_path, capsys):
+    # A misspelt sigma was ignored: the S3 run planned with sigma = 1.0.
+    parameters = {"delta": 1.4, "e": 0.05, "alpha": 1.0, "sigme": 3.0}
+    cfg = _two_scale_cfg(tmp_path, parameters=parameters, strategy="s3")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown parameters keys: ['sigme']" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("strategy", ["s1", "mc"])

@@ -1029,8 +1029,10 @@ def test_pilot_rejects_growing_differences():
             lanes = normal_lanes(np.asarray(seeds, dtype=np.uint64), 2)
             return lanes[:, 0] + 2.0 ** (-level) * lanes[:, 1]
 
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(DegenerateModelError):
+    # One report of the finding: the error, with no RuntimeWarning before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateModelError, match="alpha=-"):
             pilot_estimate_parameters(InvertedModel(), 64, 0)
 
 

@@ -585,6 +585,15 @@ def test_model_batch_contract(name, monkeypatch):
                 model.evaluate_many(level, bad)
     # A whole-number float is its level, as in a config.
     assert model.evaluate_many(2.0, seeds).tobytes() == batches[2].tobytes()
+    # And its seed; anything else that is not a whole number within
+    # 0..2**64-1 is no seed.  A cast to uint64 took 1.5 and 2.7 as 1 and 2,
+    # wrapped -1.0 and True to seeds, and raised OverflowError on -1.
+    assert model.evaluate_many(1, [3.0, 1234567.0]).tobytes() == batches[1][:2].tobytes()
+    for bad in ([1.5], [2.7], np.array([-1.0]), [-1], [2**64], [True], ["1"]):
+        with pytest.raises(ValueError, match="seed"):
+            model.evaluate_many(1, bad)
+        with pytest.raises(ValueError, match="seed"):
+            model.evaluate_levels((1, 2), bad)
     # evaluate_levels is the stacked evaluate_many rows, bit for bit: over
     # each adjacent pair, as a coupled term asks, and over all levels.
     ladder = range(1, model.max_level + 1)

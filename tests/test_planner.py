@@ -191,10 +191,14 @@ def test_strategy4_scan_exhaustion():
 
 
 def test_plan_for_strategy_dispatch():
+    # delta / e = 1e400 is no sample count: an OverflowError escaped.
+    huge = SolutionParameters(delta=1e200, e=1e-200, alpha=1.0)
     for strategy in StrategyId:
         plan = plan_for_strategy(strategy.value, BENCH)
         assert plan.strategy is strategy
         assert plan == plan_for_strategy(strategy, BENCH)
+        with pytest.raises(ValueError, match="cannot size a plan from"):
+            plan_for_strategy(strategy, huge)
     with pytest.raises(ValueError):
         plan_for_strategy("S9", BENCH)
 
@@ -284,6 +288,18 @@ def test_plan_validation():
     assert LevelPlan(StrategyId.CLASSICAL_MC, (5,), 2.0, None).M == (5,)
     with pytest.raises(ValueError, match="ClassicalMC has one term"):
         LevelPlan(StrategyId.CLASSICAL_MC, (5, 3), 2.0, None)
+    # A strategy's value is its StrategyId: "ClassicalMC" with two terms
+    # passed the one-term rule, and "S2" ran, then failed to serialize.
+    with pytest.raises(ValueError, match="ClassicalMC has one term"):
+        LevelPlan("ClassicalMC", (100, 10), 2.0, None)
+    with pytest.raises(ValueError, match="S9"):
+        LevelPlan("S9", (10,), 4.0, None)
+    by_value = LevelPlan("S2", (10, 3), 4.0, BENCH)
+    assert by_value.strategy is StrategyId.S2
+    assert by_value.to_json_dict() == LevelPlan(StrategyId.S2, (10, 3), 4.0, BENCH).to_json_dict()
+    for bad in ("x", BENCH.to_json_dict()):
+        with pytest.raises(ValueError, match="inputs"):
+            LevelPlan(StrategyId.S2, (10, 3), 4.0, bad)
 
 
 def test_m_total_shares_adjacent_levels():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from mlmckit import _bits
+from mlmckit._checks import _seeds
 from mlmckit._bits import (
     GOLDEN,
     MASK64,
@@ -66,6 +67,24 @@ def test_normal_lanes_batch_invariant():
     assert np.array_equal(whole, parts)
     one = normal_lanes(np.asarray([seeds[5]], dtype=np.uint64), 3)[0]
     assert np.array_equal(one, whole[5])
+
+
+def test_normal_lanes_take_whole_number_seeds_within_64_bits():
+    seeds = np.asarray([0, 5, 2**53, MASK64], dtype=np.uint64)
+    want = normal_lanes(seeds, 3)
+    # Any integer array in range, a list of ints, and whole-number floats
+    # (up to 2**53, where a float still holds each integer) are those seeds.
+    for same in (seeds.astype(object), [int(s) for s in seeds], seeds[:3].astype(np.int64)):
+        assert normal_lanes(same, 3).tobytes() == want[: len(same)].tobytes()
+    assert normal_lanes([0.0, 5.0, 2.0**53], 3).tobytes() == want[:3].tobytes()
+    # A uint64 array is used as it is, with no copy.
+    assert _seeds(seeds) is seeds or np.shares_memory(_seeds(seeds), seeds)
+    # A cast to uint64 truncated a fraction, wrapped a negative float and a
+    # bool to a seed, and raised OverflowError on a negative int.
+    for bad in ([1.5], np.array([-1.0]), [-1], np.array([-1]), [2**64], [float("nan")],
+                [True], np.array([True]), [1, True], ["1"], np.array(["1"])):
+        with pytest.raises(ValueError, match=f"seed must be an integer within 0..{MASK64}"):
+            normal_lanes(bad, 3)
 
 
 @pytest.mark.parametrize("seed", [0, MASK64])

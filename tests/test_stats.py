@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -285,10 +286,12 @@ def test_alpha_scale_invariant():
     assert estimate_alpha(3.0e7, 6.0e7) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_negative_alpha_warns_but_passes_through():
-    with pytest.warns(RuntimeWarning):
-        a = estimate_alpha(2.0, 1.0)
-    assert a == -1.0
+def test_negative_alpha_passes_through_without_a_warning():
+    # The pilot rejects a negative alpha; a warning here printed the same
+    # finding once more, just before that error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate_alpha(2.0, 1.0) == -1.0
 
 
 def test_alpha_rejects_nonpositive_spreads():
