@@ -14,23 +14,23 @@ to ``math.fsum`` bit for bit (see :mod:`mlmckit.stats` for the fallbacks
 to ``math.fsum`` itself).
 
 The chunk loop: the pilot, ``run_mlmc`` and ``run_classical_mc`` all
-evaluate samples through one loop.  ``workers`` defaults to the usable
-CPUs (the process's affinity mask), resolved once per call; ``workers=1``
-runs serially without a pool.  The calling thread works as one of the
-workers, next to at most ``workers - 1`` helpers from one thread pool per
-call, so a call never runs more threads than ``workers`` or than the
-chunks of its largest term.  :func:`_chunk_size` splits a term by its
-sample count alone into chunks that are equal but for a smaller last one:
-one chunk per 512 samples begun, up to eight chunks, so eight from 3585 to
-131 072 samples, and chunks of at most ``_CHUNK`` = 16 384 seeds beyond.
-The chunks are handed out in sample order from one shared counter.  Each
-chunk derives its own seeds from (base_seed, counter), evaluates them at
-every level of its term in one ``evaluate_levels`` call, checks that the
-values are finite, and writes the coupled difference straight into the
-term's values.
-Per-level values are kept only for a sample log and for the pilot, which
-needs its three levels.  Chunk boundaries and aggregation do not depend on
-the worker count, so neither do the bytes of any report.
+evaluate samples through one loop, each call inside one :func:`_call`.
+``workers`` defaults to the usable CPUs (the process's affinity mask),
+resolved once per call; ``workers=1`` runs serially without a pool.  The
+calling thread works as one of the workers, next to at most
+``workers - 1`` helpers from one thread pool per call, so a call never
+runs more threads than ``workers`` or than the chunks of its largest
+term.  :func:`_chunk_size` splits a term by its sample count alone into
+chunks that are equal but for a smaller last one: one chunk per 512
+samples begun, up to eight chunks, so eight from 3585 to 131 072 samples,
+and chunks of at most ``_CHUNK`` = 16 384 seeds beyond.  The chunks are
+handed out in sample order from one shared counter.  Each chunk derives
+its own seeds from (base_seed, counter), evaluates them at every level of
+its term in one ``evaluate_levels`` call, checks that the values are
+finite, and writes the coupled difference straight into the term's
+values.  Per-level values are kept only for a sample log and for the
+pilot, which needs its three levels.  Chunk boundaries and aggregation do
+not depend on the worker count, so neither do the bytes of any report.
 
 On 2 vCPUs the default of two workers took ``gbm_capped``'s median
 ``run_s`` from 0.251 to 0.145 s (1.73x, ten alternating 50 s runs against
@@ -202,18 +202,21 @@ def _chunk_size(count):
     return -(-count // n)
 
 
-def _helpers(workers, largest):
-    """Helper threads for a call whose largest term has ``largest`` samples.
+@contextmanager
+def _call(base_seed, workers, largest):
+    """Check a call's ``base_seed`` and ``workers``; hold its one thread pool.
 
+    Yields ``(base_seed, pool, helpers)``: the seed as an int, and a pool of
+    ``helpers`` threads (None when there are none) for a call whose largest
+    term has ``largest`` samples.  ``workers`` None means the usable CPUs.
     The caller works too, so a call runs on at most ``workers`` threads and
     never on more threads than its largest term has chunks.
     """
-    return min(workers, -(-largest // _chunk_size(largest))) - 1
-
-
-def _pool(helpers):
-    """One thread pool of ``helpers`` threads for a whole call, or none."""
-    return ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else nullcontext()
+    base_seed = _whole("base_seed", base_seed, 0, MASK64)
+    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
+    helpers = min(workers, -(-largest // _chunk_size(largest))) - 1
+    with ThreadPoolExecutor(max_workers=helpers) if helpers > 0 else nullcontext() as pool:
+        yield base_seed, pool, helpers
 
 
 def _evaluate_chunk(model, levels, seeds):
@@ -393,8 +396,7 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     seed_ledger = []
     log_terms = []
     start = 0
-    helpers = _helpers(workers, max(plan.M))
-    with _pool(helpers) as pool:
+    with _call(base_seed, workers, max(plan.M)) as (base_seed, pool, helpers):
         for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
             values, rows = _evaluate_term(
                 model, levels, base_seed, start, count, pool, helpers,
@@ -447,8 +449,6 @@ def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
     None (the default) means the usable CPUs, 1 a serial run without a
     pool.  The report's bytes do not depend on it.
     """
-    base_seed = _whole("base_seed", base_seed, 0, MASK64)
-    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     if plan.strategy is StrategyId.CLASSICAL_MC:
         raise ValueError("classical plans are executed with run_classical_mc")
     if plan.L > model.max_level:
@@ -465,8 +465,6 @@ def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=N
     The report's plan is the classical plan for ``M`` without inputs;
     ``workers`` is as for :func:`run_mlmc`.
     """
-    base_seed = _whole("base_seed", base_seed, 0, MASK64)
-    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     M = _whole("M", M, 1, None)
     level = _whole("level", level, 1, model.max_level)
     return _run_terms(model, _classical_plan(M), [[level]], base_seed, workers, sample_log_path)
@@ -482,16 +480,13 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     are never reused by a later run with the same base_seed.  ``workers`` is
     as for :func:`run_mlmc`.
     """
-    base_seed = _whole("base_seed", base_seed, 0, MASK64)
-    workers = _usable_cpus() if workers is None else _whole("workers", workers, 1, None)
     pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
         raise ValueError(
             f"pilot needs levels 1..3 but the model stops at {model.max_level}"
         )
-    pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
-    helpers = _helpers(workers, pilot_samples)
-    with _pool(helpers) as pool:
+    with _call(base_seed, workers, pilot_samples) as (base_seed, pool, helpers):
+        pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
         d12, (_, u2, u3) = _evaluate_term(
             model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )

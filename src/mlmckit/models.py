@@ -9,13 +9,27 @@ error.  Every draw comes from the seed's counter lanes
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._bits import _tiles, normal_lanes, scratch
 from ._checks import _finite, _known_keys, _seeds, _whole
 from .executor import ModelEvaluationError, QoIModel
+
+
+def _ladder(spec, finest, least):
+    """Make ``spec``'s ``finest`` grid size and ``max_level`` ints, and check
+    that the finest grid halves exactly ``max_level - 1`` times, leaving at
+    least ``least`` steps or cells on the coarsest level."""
+    for name in (finest, "max_level"):
+        object.__setattr__(spec, name, _whole(name, getattr(spec, name), 1, None))
+    n, halvings = getattr(spec, finest), 2 ** (spec.max_level - 1)
+    if n % halvings != 0 or n // halvings < least:
+        raise ValueError(
+            f"{finest}={n} must be divisible by 2^(max_level-1)={halvings} with at "
+            f"least {least} {finest.split('_')[0]} at the coarsest level"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -26,10 +40,12 @@ from .executor import ModelEvaluationError, QoIModel
 class GBMSpec:
     """Euler-Maruyama GBM; QoI is the terminal state S(T).
 
-    The exact mean S0 * exp(r T) makes this the standard correctness
-    oracle.  Level 1 runs ``steps_at_finest`` time steps; each coarser
-    level halves the step count, and its Brownian increments are pairwise
-    sums of the finer ones (exact path coupling).
+    Level 1 runs ``steps_at_finest`` time steps; each coarser level halves
+    the step count, and its Brownian increments are pairwise sums of the
+    finer ones (exact path coupling).  The estimators target the level-1
+    Euler mean S0 (1 + r T / N)^N for N = ``steps_at_finest``, the
+    correctness oracle; the exact S0 exp(r T) lies a discretization bias
+    away.
     """
 
     S0: float = 1.0
@@ -42,36 +58,26 @@ class GBMSpec:
     def __post_init__(self):
         for name, sign in (("S0", "> 0"), ("T", "> 0"), ("r_drift", None), ("vol", ">= 0")):
             _finite(name, getattr(self, name), sign)
-        for name in ("steps_at_finest", "max_level"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
-        halvings = 2 ** (self.max_level - 1)
-        if self.steps_at_finest % halvings != 0:
-            raise ValueError(
-                f"steps_at_finest={self.steps_at_finest} is not divisible by "
-                f"2^(max_level-1)={halvings}"
-            )
+        _ladder(self, "steps_at_finest", 1)
 
     def steps_at_level(self, level):
         return self.steps_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
 
-    @property
-    def exact_mean(self):
-        return self.S0 * math.exp(self.r_drift * self.T)
-
     @classmethod
     def from_json_dict(cls, d):
+        _known_keys("gbm spec", d, [f.name for f in fields(cls)])
         return cls(**d)
 
 
-def _increments(spec, level, seeds, fine):
-    """Brownian increments at ``level``, lane-major as an (n_level, B) array.
+def _increments(spec, n_level, seeds, fine):
+    """Brownian increments over ``n_level`` steps, lane-major as an (n_level, B) array.
 
-    All fine increments are drawn into ``fine``, an (n, B) float64 array,
-    grouped by step mod n / n_level, so that each halving adds contiguous
-    block pairs in place; the result is the head of ``fine``, in time
-    order.  A level the spec does not have raises ValueError.
+    ``n_level`` is ``spec.steps_at_level`` of a checked level.  All fine
+    increments are drawn into ``fine``, an (n, B) float64 array, grouped
+    by step mod n / n_level, so that each halving adds contiguous block
+    pairs in place; the result is the head of ``fine``, in time order.
     """
-    n, n_level = spec.steps_at_finest, spec.steps_at_level(level)
+    n = spec.steps_at_finest
     normal_lanes(seeds, n, out=fine.T, groups=n // n_level)
     fine *= math.sqrt(spec.T / n)
     blocks = fine.reshape(n // n_level, n_level, seeds.size)
@@ -80,14 +86,14 @@ def _increments(spec, level, seeds, fine):
     return blocks[0]
 
 
-def _gbm_batch(spec, level, seeds, out):
+def _gbm_batch(spec, n_level, seeds, out):
     """Terminal states of a tile of seeds, written into ``out``.
 
     The increments are drawn and coarsened in this thread's one scratch
     array, so a tile allocates nothing the size of its draw.
     """
     n, b = spec.steps_at_finest, seeds.size
-    dW = _increments(spec, level, seeds, scratch("gbm.fine", n * b).reshape(n, b))
+    dW = _increments(spec, n_level, seeds, scratch("gbm.fine", n * b).reshape(n, b))
     dt = spec.T / dW.shape[0]
     # Euler-Maruyama for GBM is multiplicative, so the terminal state is the
     # plain product of the per-step growth factors (1 + r dt) + vol dW.  They
@@ -111,11 +117,11 @@ class GBMModel(QoIModel):
         self.max_level = self.spec.max_level
 
     def evaluate_many(self, level, seeds):
-        self.spec.steps_at_level(level)  # rejects a level out of range
+        n_level = self.spec.steps_at_level(level)
         seeds = _seeds(seeds)
         out = np.empty(seeds.size)
         for tile in _tiles(seeds.size, self.spec.steps_at_finest):
-            _gbm_batch(self.spec, level, seeds[tile], out[tile])
+            _gbm_batch(self.spec, n_level, seeds[tile], out[tile])
         return out
 
 
@@ -184,24 +190,18 @@ class BurgersSpec:
     def __post_init__(self):
         for name in ("viscosity", "domain_length", "time_horizon"):
             _finite(name, getattr(self, name), "> 0")
-        for name in ("cells_at_finest", "max_level"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name), 1, None))
-        halvings = 2 ** (self.max_level - 1)
-        if self.cells_at_finest % halvings != 0 or self.cells_at_finest // halvings < 4:
-            raise ValueError(
-                f"cells_at_finest={self.cells_at_finest} must be divisible by "
-                f"2^(max_level-1)={halvings} with at least 4 cells at the "
-                "coarsest level"
-            )
+        _ladder(self, "cells_at_finest", 4)
 
     def cells_at_level(self, level):
         return self.cells_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
 
     @classmethod
     def from_json_dict(cls, d):
+        _known_keys("burgers spec", d, [f.name for f in fields(cls)])
         out = dict(d)
         forcing = out.pop("forcing", None)
         if forcing is not None:
+            _known_keys("forcing", forcing, [f.name for f in fields(TopographySpec)])
             out["forcing"] = TopographySpec(**forcing)
         return cls(**out)
 
@@ -363,13 +363,15 @@ _MODEL_KINDS = ("gbm", "burgers", "two_scale")
 
 
 def model_from_config(d):
-    """Build a model from a config mapping {"kind": ..., "spec": {...}}."""
+    """Build a model from a config mapping {"kind": ..., "spec": {...}}; a null spec is {}."""
     _known_keys("model", d, ("kind", "spec"))
-    kind, spec = d.get("kind"), d.get("spec") or {}
+    kind, spec = d.get("kind"), d.get("spec")
+    spec = {} if spec is None else spec
     if kind == "gbm":
         return GBMModel(GBMSpec.from_json_dict(spec))
     if kind == "burgers":
         return BurgersModel(BurgersSpec.from_json_dict(spec))
     if kind == "two_scale":
+        _known_keys("two_scale spec", spec, ("max_level", "alpha", "amp"))
         return TwoScaleModel(**spec)
     raise ValueError(f"unknown model kind {kind!r}; expected one of {_MODEL_KINDS}")

@@ -5,11 +5,10 @@ results are bit-reproducible no matter how the samples were produced or
 scheduled.  Samples are summed straight from a float64 array
 (:func:`_fsum`): each block of values is split by two vectorized
 extraction steps into two exact sums and a few remainders, and
-``math.fsum`` rounds those parts once.  Arrays of fewer than 1024 values
-(where ``math.fsum`` is faster), arrays whose sum could overflow or that
-hold an inf or NaN, and sums that are exactly zero go to ``math.fsum``
-itself, which gives the same value or error (and the interpreter's sign
-of zero).  Squared deviations are IEEE products (``d * d``) rather than
+``math.fsum`` rounds those parts once.  Empty arrays, arrays whose sum
+could overflow or that hold an inf or NaN, and sums that are exactly zero
+go to ``math.fsum`` itself, which gives the same value or error (and the
+interpreter's sign of zero).  Squared deviations are IEEE products (``d * d``) rather than
 libm ``pow``, so variance bytes do not depend on the platform's libm; a
 variance can differ from a ``(x - m) ** 2`` sum in its last bit.  Means,
 and so estimates, involve no squares and are unaffected.  The squares are
@@ -19,7 +18,7 @@ block's buffers whatever the sample count; only the cases left to
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,12 +50,7 @@ class LevelTermStats:
             object.__setattr__(self, "variance", _finite("variance", self.variance, ">= 0"))
 
     def to_json_dict(self):
-        return {
-            "term_index": self.term_index,
-            "mean": self.mean,
-            "variance": self.variance,
-            "count": self.count,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,7 @@ class SolutionParameters:
             object.__setattr__(self, name, _finite(name, getattr(self, name), sign))
 
     def to_json_dict(self):
-        return {"delta": self.delta, "e": self.e, "alpha": self.alpha, "sigma": self.sigma}
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d):
@@ -111,8 +105,6 @@ def _values(s):
 # exactly in any order.
 _SUM_BLOCK = 16384
 _M = (_SUM_BLOCK + 1).bit_length()
-# Below this size fsum itself is faster than the extraction.
-_SMALL_SUM = 1024
 
 
 def _fsum(v, center=None):
@@ -126,10 +118,10 @@ def _fsum(v, center=None):
     c = 0.0 if center is None else center
     # The largest |v - c|: rounding is monotone, so it is at v.max() or
     # v.min(), and so is the largest square.
-    top = max(float(v.max()) - c, c - float(v.min())) if n >= _SMALL_SUM else math.nan
+    top = max(float(v.max()) - c, c - float(v.min())) if n else math.nan
     if center is not None:
         top *= top
-    # Small arrays, inf, NaN, and sums (or a sigma) that could overflow:
+    # Empty arrays, inf, NaN, and sums (or a sigma) that could overflow:
     # leave those to fsum, which gives the same value or error.
     if not top * max(n, 1 << _M) < 2.0**1020:
         if center is not None:

@@ -202,6 +202,8 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         {"kind": "burgers", "spec": {"viscosity": float("inf")}},
         {"kind": "burgers", "spec": {"viscosity": True}},
         {"kind": "gbm", "sepc": {"vol": 0.3}},
+        {"kind": "two_scale", "spec": False},
+        {"kind": "two_scale", "spec": []},
     ],
     ids=[
         "two_scale_max_level",
@@ -222,15 +224,34 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
         "burgers_viscosity_inf",
         "burgers_viscosity_bool",
         "model_unknown_key",
+        "spec_false",
+        "spec_list",
     ],
 )
 def test_model_spec_values_a_run_cannot_use_exit_2(tmp_path, capsys, model):
     # A two_scale "max_level": 3.5 was truncated to 3 and ran; a misspelt
-    # two_scale, forcing or model key was ignored and the run took the defaults.
+    # two_scale, forcing or model key was ignored and the run took the
+    # defaults, and so did a spec of false or [].
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": model, "strategy": "s1"}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"strategy": "s1"}, 'config is missing the required "model" entry'),
+        ({"model": {"kind": "two_scale"}}, 'config needs a "strategy" when no plan is embedded'),
+    ],
+    ids=["no_model", "no_plan_nor_strategy"],
+)
+def test_run_config_without_a_required_entry_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -696,6 +717,17 @@ def test_report_table_with_savings(tmp_path, capsys):
     assert "62.0%" in out
 
 
+def test_report_without_a_first_load_has_no_savings(tmp_path, capsys):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    _write(a, {**_fake_report("ClassicalMC", 100.0), "realized_load": None})
+    _write(b, _fake_report("S1", 38.0))
+    assert main(["report", str(a), str(b)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 2
+    assert all(row.split()[-1] == "-" for row in rows)
+
+
 def test_report_on_real_run_output(tmp_path, capsys):
     cfg = _two_scale_cfg(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 0
@@ -730,7 +762,10 @@ def test_report_malformed_exits_5(tmp_path, capsys):
     bad.write_bytes(b'{"estimate": "\xff"}')
     assert main(["report", str(bad)]) == 5
     assert main(["report", str(tmp_path / "absent.json")]) == 5
+    _write(bad, [_fake_report("S1", 10.0)])
     capsys.readouterr()
+    assert main(["report", str(bad)]) == 5
+    assert capsys.readouterr().err == f"error: malformed report: {bad}: report must be a JSON object\n"
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,6 @@ def test_gbm_spec_ladder():
     assert g.steps_at_level(4) == 32
     with pytest.raises(ValueError):
         g.steps_at_level(5)
-    assert g.exact_mean == pytest.approx(math.exp(0.05), rel=1e-15)
     with pytest.raises(ValueError):
         GBMSpec(steps_at_finest=100, max_level=4)  # 100 not divisible by 8
     with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ def test_gbm_increments_coarsen_bitwise():
     n = g.steps_at_finest
 
     def increments(level):
-        return _increments(g, level, seeds, np.empty((n, seeds.size))).T
+        return _increments(g, g.steps_at_level(level), seeds, np.empty((n, seeds.size))).T
 
     fine = increments(1)
     for level in (2, 3, 4):
@@ -207,7 +206,8 @@ def test_gbm_sample_mean_tracks_discrete_expectation():
     expect = g.S0 * (1.0 + g.r_drift * g.T / n_steps) ** n_steps
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - expect) <= 4.0 * se
-    assert expect == pytest.approx(g.exact_mean, rel=1e-3)  # discretization bias is tiny
+    # The discretization bias against S0 exp(r T) is tiny.
+    assert expect == pytest.approx(g.S0 * math.exp(g.r_drift * g.T), rel=1e-3)
 
 
 def test_gbm_coupling_shrinks_toward_fine():
@@ -647,3 +647,25 @@ def test_model_from_config():
         model_from_config({"kind": "heat"})
     with pytest.raises(ValueError):
         model_from_config({})
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"kind": "gbm", "spec": {"bogus": 1}}, "unknown gbm spec keys: ['bogus']"),
+        ({"kind": "burgers", "spec": {"bogus": 1}}, "unknown burgers spec keys: ['bogus']"),
+        ({"kind": "two_scale", "spec": {"bogus": 1}}, "unknown two_scale spec keys: ['bogus']"),
+        ({"kind": "burgers", "spec": {"forcing": {"Lx": 1.0}}}, "unknown forcing keys: ['Lx']"),
+        ({"kind": "gbm", "spec": False}, "gbm spec must be a JSON object"),
+        ({"kind": "burgers", "spec": {"forcing": [5.0]}}, "forcing must be a JSON object"),
+        ({"kind": "two_scale", "spec": []}, "two_scale spec must be a JSON object"),
+    ],
+    ids=["gbm_key", "burgers_key", "two_scale_key", "forcing_key", "gbm_false",
+         "forcing_list", "two_scale_list"],
+)
+def test_model_from_config_names_a_spec_it_cannot_read(model, message):
+    with pytest.raises(ValueError) as info:
+        model_from_config(model)
+    assert str(info.value) == message
+    # A null spec is the default model.
+    assert model_from_config({**model, "spec": None}).max_level >= 4

@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -128,9 +127,9 @@ def test_mean_between_extremes(values):
 # the exact sum behind both: _fsum is math.fsum, bit for bit
 # ---------------------------------------------------------------------------
 
-# One value; one short of the small-array cut-off, exactly at it and one
-# over; one short of a kernel block, exactly one and one over; several
-# blocks with a partial last one; the same around half a block.
+# One value; three sizes around 1024; one short of a kernel block, exactly
+# one and one over; several blocks with a partial last one; the same
+# around half a block.
 SUM_SIZES = [
     1, 1023, 1024, 1025, 16383, 16384, 16385, 3 * 16384 + 17,
     8191, 8192, 8193, 3 * 8192 + 17,
@@ -195,9 +194,6 @@ def _fsum_outcome(fn, v):
 def test_fsum_equals_math_fsum_bit_for_bit(v):
     expect = _fsum_outcome(math.fsum, memoryview(v).tolist())
     assert _fsum_outcome(_fsum, v) == expect
-    # Arrays below the cut-off go to fsum; the kernel must agree on them too.
-    with mock.patch.object(stats, "_SMALL_SUM", 0):
-        assert _fsum_outcome(_fsum, v) == expect
 
 
 @given(sum_inputs())
