@@ -151,10 +151,11 @@ class TopographySpec:
     def __post_init__(self):
         _finite("H", self.H, ">= 0")
         for name in ("k_range", "l_range"):
-            lo, hi = (_whole(name, bound, 1, None) for bound in getattr(self, name))
-            if hi < lo:
-                raise ValueError(f"{name} must be an integer interval, got {(lo, hi)}")
-            object.__setattr__(self, name, (lo, hi))
+            match getattr(self, name):  # a list or a tuple of two
+                case [lo, hi] if _whole(name, lo, 1, None) <= _whole(name, hi, 1, None):
+                    object.__setattr__(self, name, (int(lo), int(hi)))
+                case pair:
+                    raise ValueError(f"{name} must be an integer interval [lo, hi], got {pair!r}")
 
     @property
     def n_k(self):

@@ -25,7 +25,7 @@ from enum import Enum
 from typing import Optional
 
 from ._checks import _finite, _known_keys, _whole
-from .stats import SolutionParameters
+from .stats import SolutionParameters, _base_factor
 
 
 class StrategyId(str, Enum):
@@ -131,11 +131,6 @@ class LevelPlan:
                     f"which gives {getattr(plan, key)!r}"
                 )
         return plan
-
-
-def _base_factor(alpha):
-    # 2 (1 + 4^alpha): the sample-count prefactor shared by every strategy.
-    return 2.0 * (1.0 + 4.0**alpha)
 
 
 def _clamp_count(x):

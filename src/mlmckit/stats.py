@@ -199,6 +199,11 @@ def estimate_alpha(delta_12, delta_23):
     return math.log2(delta_23 / delta_12)
 
 
+def _base_factor(alpha):
+    # 2 (1 + 4^alpha): the prefactor of every strategy's counts and of the sizing identity.
+    return 2.0 * (1.0 + 4.0**alpha)
+
+
 def estimate_fine_error(delta_12, alpha):
     """Fine-level discretization error consistent with the finest coupled pair.
 
@@ -206,4 +211,4 @@ def estimate_fine_error(delta_12, alpha):
     """
     _finite("delta_12", delta_12, "> 0")
     _finite("alpha", alpha, ">= 0")
-    return delta_12 / math.sqrt(2.0 * (1.0 + 4.0**alpha))
+    return delta_12 / math.sqrt(_base_factor(alpha))

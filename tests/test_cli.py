@@ -181,6 +181,18 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, entry):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_a_forcing_range_that_is_not_a_pair_exits_2_and_names_it(tmp_path, capsys):
+    # Its stderr was only "error: too many values to unpack (expected 2)".
+    cfg = tmp_path / "cfg.json"
+    model = {"kind": "burgers", "spec": {"forcing": {"k_range": [1, 2, 3]}}}
+    _write(cfg, {"model": model, "strategy": "s1"})
+    assert main(["run", "--config", str(cfg), "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: k_range must be an integer interval [lo, hi], got [1, 2, 3]\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -287,8 +299,8 @@ def test_flag_values_out_of_range_exit_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["pilot", "run"])
 def test_a_command_parses_its_config_once(tmp_path, monkeypatch, command):
-    # The config's model was built to validate it, again to validate the
-    # flag overrides, and once more to run.
+    # The config's model was built three times (to validate the config, to
+    # validate the flag overrides, to run), then twice (to check, to run).
     from mlmckit import cli
 
     build, built = cli.model_from_config, []
@@ -301,8 +313,50 @@ def test_a_command_parses_its_config_once(tmp_path, monkeypatch, command):
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", "pilot_samples": 64})
     assert main([command, "--config", str(cfg), "--seed", "3"]) == 0
-    # Once to validate the config, once to run.
-    assert len(built) == 2
+    # Once, after the outputs are checked: the run uses the model it checked.
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "command, entry, key",
+    [
+        ("run", {"parameters": {"delta": 1.0}}, "parameters"),
+        ("run", {"plan": {"strategy": "S1", "error_bound_multiplier": 1.0}}, "plan"),
+        # A pilot ignores the plan, but every entry is built before any work.
+        ("pilot", {"plan": {"strategy": "S1", "error_bound_multiplier": 1.0}}, "plan"),
+    ],
+    ids=["parameters_without_e", "plan_without_M", "pilot_plan_without_M"],
+)
+def test_an_entry_of_the_wrong_shape_exits_2_as_malformed(
+    tmp_path, capsys, command, entry, key
+):
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", **entry})
+    assert main([command, "--config", str(cfg), "--out", "out.json"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed {key} ")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_an_unwritable_out_exits_2_before_the_model_is_built(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "model_from_config", built.append)
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1"})
+    assert main(["run", "--config", str(cfg), "--out", "/nonexistent/dir/r.json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write /nonexistent/dir/r.json: no directory /nonexistent/dir\n"
+    )
+    assert built == []
+
+
+def test_two_outputs_that_name_one_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1"})
+    argv = ["run", "--config", str(cfg), "--sample-log", "r.json", "--out", "./r.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write r.json: it is the same file as ./r.json\n"
+    )
 
 
 NO_DIR = "/nonexistent/dir/x.json"
@@ -785,6 +839,17 @@ def test_config_round_trip():
     }
     cfg = RunConfig.from_json_dict(raw)
     assert {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} == {**raw, "plan": None}
+
+
+def test_run_config_checks_itself_when_built():
+    # A RunConfig built directly took workers=0, which only the executor rejected.
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        RunConfig(model={"kind": "two_scale"}, workers=0)
+    with pytest.raises(ValueError, match="strategy must be one of"):
+        RunConfig(model={"kind": "two_scale"}, strategy="s9")
+    with pytest.raises(ValueError, match="out must be a path"):
+        RunConfig(model={"kind": "two_scale"}, out=None)
+    assert RunConfig(model={"kind": "two_scale"}, base_seed=3.0).base_seed == 3
 
 
 def test_config_validation():

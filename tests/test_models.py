@@ -44,17 +44,20 @@ def test_spec_validation_and_round_trip():
         TopographySpec(l_range=(0, 4))
     spec = TopographySpec(H=250.0, k_range=(2, 6))
     assert TopographySpec(**{"H": 250.0, "k_range": [2, 6]}) == spec
+    assert TopographySpec(**{"H": 250.0, "k_range": (2.0, 6.0)}) == spec
     assert (TopographySpec().n_k, spec.n_k) == (5, 5)
 
 
 @pytest.mark.parametrize(
     "field, bad",
     [(f, b) for f in ("H", "Lx", "Ly") for b in (math.nan, math.inf, -math.inf, True, "5")]
-    + [(f, (lo, hi)) for f in ("k_range", "l_range") for lo, hi in ((4, math.inf), (True, 4))],
+    + [(f, (lo, hi)) for f in ("k_range", "l_range") for lo, hi in ((4, math.inf), (True, 4))]
+    + [(f, b) for f in ("k_range", "l_range") for b in (5, (1, 2, 3), (3,), (6, 2))],
 )
 def test_topography_spec_rejects_non_finite_and_boolean_values(field, bad):
     # H=nan passed "H < 0", and True counted as 1.  Lx and Ly are fields no
     # more (the period is the model's domain_length): no value of them is taken.
+    # A range that is not a pair raised TypeError or "too many values to unpack".
     with pytest.raises(TypeError if field in ("Lx", "Ly") else ValueError, match=field):
         TopographySpec(**{field: bad})
 
