@@ -56,7 +56,8 @@ not depend on the worker count.  Statistics that overflow a float (a
 term's mean or variance, their sums over terms, or the pilot's variances)
 raise :class:`DegenerateModelError` naming the terms or the pilot.  So does
 a coupled difference of two finite values that overflows: it names its two
-levels and its seed, and a chunk's is checked in that chunk, under the same
+levels and its seed.  Every adjacent pair of a chunk's levels, the pilot's
+levels 1-2 and 2-3 too, is checked in that chunk, under the same
 first-failing-chunk rule.
 """
 
@@ -263,72 +264,71 @@ def _evaluate_chunk(model, levels, seeds):
     return out
 
 
-def _difference(what, fine, coarse, base_seed, start):
-    """``fine - coarse`` of the samples of counters ``start`` onwards.
+def _differences(levels, out, seeds):
+    """The coupled differences of each adjacent pair of ``levels``, one row per pair.
 
-    Two finite values can differ by more than a float holds; the first
-    such sample raises DegenerateModelError naming ``what`` and its seed.
+    ``out`` holds one row of values per level for ``seeds``.  The lowest pair
+    whose difference overflows a float raises DegenerateModelError naming
+    its levels and its first such seed.
     """
     with np.errstate(over="ignore"):
-        diff = fine - coarse
+        diff = out[:-1] - out[1:]
     finite = np.isfinite(diff)
     if not finite.all():
-        seed = counter_seeds(base_seed, start + int(np.argmin(finite)), 1)[0]
-        raise DegenerateModelError(f"{what} coupled difference overflows a float at seed {seed}")
+        row, col = np.unravel_index(np.argmin(finite), diff.shape)
+        raise DegenerateModelError(
+            f"levels {levels[row]}-{levels[row + 1]} coupled difference "
+            f"overflows a float at seed {seeds[col]}"
+        )
     return diff
 
 
 def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=False):
     """Evaluate ``count`` realizations, counters ``start`` onwards, at ``levels``.
 
-    Returns ``(values, rows)``.  ``values`` holds the coupled differences
-    ``U[levels[0]] - U[levels[1]]``, or the values at the only level.  With
-    ``keep``, ``rows`` holds one row of values per level; otherwise None.
+    Returns ``(values, rows)``.  ``values`` holds one row per adjacent pair
+    of ``levels``, its coupled differences ``U[levels[i]] - U[levels[i+1]]``,
+    or the one row of values at the only level.  With ``keep``, ``rows``
+    holds one row of values per level; otherwise None.
 
     This is the executor's one loop over samples.  The calling thread and
     up to ``helpers`` threads of ``pool`` take chunk indices in sample
     order from one shared counter.  Each chunk derives its own seeds,
     evaluates them at every level through :func:`_evaluate_chunk` and
     writes its slice of ``values``; a coupled difference that overflows
-    raises :class:`DegenerateModelError`.  A failing chunk is recorded by index
-    and stops the hand-out; the lowest one is raised once every thread has
-    finished its chunk.
+    raises :class:`DegenerateModelError`.  A failing chunk is recorded by
+    index and stops the hand-out, every chunk before it being out already;
+    the lowest one is raised once every thread has finished its chunk.
     """
-    values = np.empty(count)
+    values = np.empty((max(1, len(levels) - 1), count))
     rows = np.empty((len(levels), count)) if keep else None
     size = _chunk_size(count)
     chunks = -(-count // size)
     lock = threading.Lock()
     handed = 0  # chunks handed out so far
-    stop = chunks  # no chunk at or past this index is handed out
     failures = {}  # chunk index -> the error it raised
 
     def run_chunk(i):
         seeds = counter_seeds(base_seed, start + i, min(size, count - i))
         done = slice(i, i + len(seeds))
         out = _evaluate_chunk(model, levels, seeds)
-        if len(levels) > 1:
-            what = f"levels {levels[0]}-{levels[1]}"
-            values[done] = _difference(what, out[0], out[1], base_seed, start + i)
-        else:
-            values[done] = out[0]
+        values[:, done] = _differences(levels, out, seeds) if len(levels) > 1 else out
         if keep:
             rows[:, done] = out
 
     def work():
-        nonlocal handed, stop
+        nonlocal handed
         while True:
             with lock:
-                k = handed
-                if k >= stop:
+                if handed >= chunks or failures:
                     return
+                k = handed
                 handed += 1
             try:
                 run_chunk(k * size)
             except Exception as exc:
                 with lock:
                     failures[k] = exc
-                    stop = min(stop, k)
 
     futures = [pool.submit(work) for _ in range(min(helpers, chunks - 1))]
     try:
@@ -336,7 +336,7 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     finally:
         # Every chunk is out by now, unless the caller was interrupted.
         with lock:
-            stop = 0
+            handed = chunks
         for f in futures:
             f.result()
     if failures:
@@ -398,7 +398,7 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     start = 0
     with _call(base_seed, workers, max(plan.M)) as (base_seed, pool, helpers):
         for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
-            values, rows = _evaluate_term(
+            (values,), rows = _evaluate_term(
                 model, levels, base_seed, start, count, pool, helpers,
                 keep=sample_log_path is not None,
             )
@@ -487,11 +487,9 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
         )
     with _call(base_seed, workers, pilot_samples) as (base_seed, pool, helpers):
         pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
-        d12, (_, u2, u3) = _evaluate_term(
+        (d12, d23), (_, u2, _) = _evaluate_term(
             model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )
-
-    d23 = _difference("pilot levels 2-3", u2, u3, pilot_base, 0)
     with _no_overflow("pilot"):
         var_12 = unbiased_variance(d12)
         var_23 = unbiased_variance(d23)

@@ -11,7 +11,8 @@ realized load are both computed.
 
 Conventions (fixed):
   * level counts come from a ceiling of the real-valued sizing formula,
-    clamped to at least 1;
+    clamped to at least 1, then cut to ``max_levels``; a ladder still
+    longer than 64 levels raises, for every strategy;
   * per-level sample counts are rounded half-up to the nearest integer,
     clamped to at least 1;
   * the coarsest term is never sized below round(delta^2/e^2), which keeps
@@ -168,48 +169,7 @@ def load(M, levels):
     return total
 
 
-_S4_SCAN_CAP = 64
-
-
-def _level_count(strategy, p):
-    """Ladder length from the sizing formula, before any ``max_levels`` cap.
-
-    S1-S3 take the ceiling of a closed form, clamped to at least 1.  S4 takes
-    the smallest L whose coarsest term already meets the statistical budget,
-    found by an ascending scan (log-space, so no overflow) up to 64 levels;
-    ``None`` when no such L exists.
-    """
-    B = _base_factor(p.alpha)
-    gap = 2.0 * math.log(p.delta) - 2.0 * math.log(p.e) - math.log(B)
-    if strategy in (StrategyId.S1, StrategyId.S3):
-        if p.alpha == 0:
-            raise ValueError(
-                "alpha = 0 gives no refinement gain; the level-count formula "
-                "is singular"
-            )
-        return max(1, math.ceil(1.0 + gap / (2.0 * p.alpha * math.log(2.0))))
-    if strategy is StrategyId.S2:
-        return max(1, math.ceil(gap / ((p.alpha + 1.0) * math.log(4.0)) + 1.0))
-    # S4 needs L^(2(1+sigma)) * 2^(2 alpha (L-1)) >= delta^2 / (e^2 B).
-    w = 2.0 * (1.0 + p.sigma)
-    for cand in range(1, _S4_SCAN_CAP + 1):
-        if w * math.log(cand) + 2.0 * p.alpha * (cand - 1) * math.log(2.0) >= gap:
-            return cand
-    return None
-
-
-def _unrounded_sizes(strategy, p, L):
-    """Per-term sample counts before rounding, for a ladder of L terms."""
-    B = _base_factor(p.alpha)
-    ls = range(1, L + 1)
-    if strategy is StrategyId.S1:
-        return [B * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
-    if strategy is StrategyId.S2:
-        return [B * 4.0 ** ((l - 1) * (p.alpha + 1.0)) for l in ls]
-    w = 2.0 * (1.0 + p.sigma)
-    if strategy is StrategyId.S3:
-        return [B * (L - l + 1) ** w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
-    return [B * l**w * 2.0 ** (2.0 * p.alpha * (l - 1)) for l in ls]
+_MAX_LEVELS = 64  # the longest ladder any strategy plans
 
 
 def _classical_plan(M, inputs=None):
@@ -221,8 +181,11 @@ def plan_for_strategy(strategy, p, max_levels=None):
     """Size the plan of ``strategy`` (a StrategyId or its value) from ``p``.
 
     ``max_levels``, a whole number >= 1 (10.0 is 10), caps the ladder at
-    what a model can resolve.  Inputs whose sample count or sizing factor
-    overflows a float raise ValueError ("cannot size a plan from ...").
+    what a model can resolve.  Every multilevel strategy plans at most 64
+    levels: a ladder longer than that after the cap raises ValueError ("no
+    ladder of <= 64 levels ..."), before any term is sized.  Inputs whose
+    sample count or sizing factor overflows a float raise ValueError
+    ("cannot size a plan from ...").
 
     * ClassicalMC: the single-level baseline, M = delta^2/e^2 samples at the
       finest level; bound 2e.  The cap has nothing to cut.
@@ -236,8 +199,8 @@ def plan_for_strategy(strategy, p, max_levels=None):
       alpha > 0.
     * S4: level-weighted sizing, weights growing toward the *coarsest* term.
       The ladder length is the smallest L whose coarsest term already meets
-      the statistical budget; found by an ascending scan (log-space, so no
-      overflow), capped at 64.  Bound: (3 + 1/sigma) e.
+      the statistical budget, found by an ascending scan (log-space, so no
+      overflow).  Bound: (3 + 1/sigma) e.
     """
     strategy = StrategyId(strategy)
     if max_levels is not None:
@@ -246,23 +209,45 @@ def plan_for_strategy(strategy, p, max_levels=None):
         m_classical = _clamp_count((p.delta / p.e) ** 2)
         if strategy is StrategyId.CLASSICAL_MC:
             return _classical_plan(m_classical, p)
-        L = _level_count(strategy, p)
-        if L is None:
-            if max_levels is None or max_levels >= _S4_SCAN_CAP:
-                raise ValueError(
-                    f"no ladder of <= {_S4_SCAN_CAP} levels meets the statistical "
-                    f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
-                )
-            L = max_levels  # ladder capped by the model; closure restores the bound
-        elif max_levels is not None:
+        B = _base_factor(p.alpha)
+        gap = 2.0 * math.log(p.delta) - 2.0 * math.log(p.e) - math.log(B)
+        w = 2.0 * (1.0 + p.sigma)
+        if strategy is StrategyId.S2:
+            L = max(1, math.ceil(gap / ((p.alpha + 1.0) * math.log(4.0)) + 1.0))
+        elif strategy is StrategyId.S4:
+            # The smallest L with L^w 2^(2 alpha (L-1)) >= delta^2 / (e^2 B),
+            # or one past the limit when no ladder within it has one.
+            L = next(
+                (n for n in range(1, _MAX_LEVELS + 1)
+                 if w * math.log(n) + 2.0 * p.alpha * (n - 1) * math.log(2.0) >= gap),
+                _MAX_LEVELS + 1,
+            )
+        elif p.alpha == 0:
+            raise ValueError(
+                "alpha = 0 gives no refinement gain; the level-count formula "
+                "is singular"
+            )
+        else:  # S1 and S3
+            L = max(1, math.ceil(1.0 + gap / (2.0 * p.alpha * math.log(2.0))))
+        if max_levels is not None:
             L = min(L, max_levels)
-        if strategy is StrategyId.S1:
-            multiplier = float(L + 2)
-        elif strategy is StrategyId.S2:
-            multiplier = 4.0
-        else:
-            multiplier = 3.0 + 1.0 / p.sigma
-        M = [_clamp_count(x) for x in _unrounded_sizes(strategy, p, L)]
+        if L > _MAX_LEVELS:
+            raise ValueError(
+                f"no ladder of <= {_MAX_LEVELS} levels meets the statistical "
+                f"budget (delta={p.delta}, e={p.e}, alpha={p.alpha})"
+            )
+
+        def grown(k, l):  # S1, S3 and S4 weight term l by k^w
+            return B * k**w * 2.0 ** (2.0 * p.alpha * (l - 1))
+
+        multiplier, size = {
+            StrategyId.S1: (float(L + 2), lambda l: grown(1, l)),
+            StrategyId.S2: (4.0, lambda l: B * 4.0 ** ((l - 1) * (p.alpha + 1.0))),
+            StrategyId.S3: (3.0 + 1.0 / p.sigma, lambda l: grown(L - l + 1, l)),
+            StrategyId.S4: (3.0 + 1.0 / p.sigma, lambda l: grown(l, l)),
+        }[strategy]
+        # Size every term before rounding any: a ** overflow outranks an inf.
+        M = [_clamp_count(x) for x in [size(l) for l in range(1, L + 1)]]
     except OverflowError as exc:  # a count or a ** factor past the float range
         raise ValueError(f"cannot size a plan from {p}: {exc}") from exc
     # Coarsest-term closure: the statistical error of the last term must not

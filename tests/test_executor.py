@@ -1102,10 +1102,35 @@ def test_a_coupled_difference_that_overflows_is_degenerate(workers, alternate, c
             )
         with pytest.raises(DegenerateModelError, match="^levels 1-2 coupled difference"):
             pilot_estimate_parameters(OverflowModel(alternate=alternate), count, 0, workers)
-        with pytest.raises(DegenerateModelError, match="^pilot levels 2-3 coupled difference"):
+        with pytest.raises(DegenerateModelError, match="^levels 2-3 coupled difference"):
             pilot_estimate_parameters(
                 OverflowModel(flip=3, alternate=alternate), count, 0, workers
             )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_pilot_overflow_in_an_early_chunk_wins_over_a_later_raise(workers):
+    # Levels 2-3 overflow at seed index 0 and the model raises at index
+    # 4000, seven chunks later: the first failing chunk names the error, a
+    # DegenerateModelError, not the later ModelEvaluationError.
+    seeds = counter_seeds(executor.mix64_int(0 ^ executor._PILOT_SALT), 0, 4096)
+
+    class TwoFailures(QoIModel):
+        """0, but for seed index 0: 1e308 at levels 1-2 and -1e308 at level 3;
+        raises at seed index 4000."""
+
+        max_level = 3
+
+        def evaluate_many(self, level, batch):
+            if (batch == seeds[4000]).any():
+                raise RuntimeError("solver diverged")
+            return np.where(batch == seeds[0], 1e308 if level < 3 else -1e308, 0.0)
+
+    with pytest.raises(
+        DegenerateModelError,
+        match=f"^levels 2-3 coupled difference overflows a float at seed {seeds[0]}$",
+    ):
+        pilot_estimate_parameters(TwoFailures(), 4096, 0, workers)
 
 
 def test_pilot_input_validation():

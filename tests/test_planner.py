@@ -179,15 +179,26 @@ def test_max_levels_validation():
     assert type(capped.L) is int
 
 
-def test_strategy4_scan_exhaustion():
-    # Tiny decay + huge spread ratio: no ladder of <= 64 levels meets the
+def test_every_strategy_plans_at_most_64_levels():
+    limit = "^no ladder of <= 64 levels meets the statistical budget"
+    # Tiny decay + huge spread ratio: no S4 ladder of <= 64 levels meets the
     # budget, and with no cap to fall back on the planner must refuse.
     p = SolutionParameters(delta=1e5, e=1.0, alpha=0.01)
     with pytest.raises(ValueError):
         plan_for_strategy("S4", p)
-    capped = plan_for_strategy("S4", p, max_levels=4)
-    assert capped.L == 4
-    assert capped.M[-1] >= _round_half_up((p.delta / p.e) ** 2)
+    # A cap of 64 or less plans the capped ladder; the closure keeps the bound.
+    for cap in (4, 64):
+        capped = plan_for_strategy("S4", p, max_levels=cap)
+        assert capped.L == cap
+        assert capped.M[-1] >= _round_half_up((p.delta / p.e) ** 2)
+    # S1 and S3 would need about 15 600 levels, S2 at alpha = 0 would need
+    # 67: each is refused before a term is sized, and plans under a cap.
+    slow = SolutionParameters(delta=1e5, e=1.0, alpha=1e-3)
+    flat = SolutionParameters(delta=1e20, e=1.0, alpha=0.0)
+    for strategy, q in (("S1", slow), ("S3", slow), ("S2", flat)):
+        with pytest.raises(ValueError, match=limit):
+            plan_for_strategy(strategy, q)
+        assert plan_for_strategy(strategy, q, max_levels=10).L == 10
 
 
 def test_plan_for_strategy_dispatch():
@@ -222,7 +233,7 @@ def test_plan_invariants(p, strategy):
     try:
         plan = plan_for_strategy(strategy, p)
     except ValueError:
-        return  # strategy-4 scan exhaustion on extreme inputs
+        return  # a ladder past 64 levels, refused for every strategy
     assert plan.L >= 1
     assert len(plan.M) == plan.L
     assert all(m >= 1 for m in plan.M)
@@ -251,7 +262,7 @@ def test_ladder_grows_with_spread_ratio(ratio, factor, alpha, strategy):
         small = plan_for_strategy(strategy, p_small)
         big = plan_for_strategy(strategy, p_big)
     except ValueError:
-        return  # strategy-4 scan exhaustion on extreme inputs
+        return  # a ladder past 64 levels, refused for every strategy
     assert big.L >= small.L
 
 
