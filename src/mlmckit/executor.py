@@ -8,57 +8,15 @@ scheduling, aggregation, and the run report; models own only the physics.
 
 Determinism contract: reports are byte-identical for a given
 (model, plan, base_seed) regardless of worker count.  Sample ids are a
-pure function of (base_seed, global counter); aggregation always happens
-on the fully assembled per-term arrays, with correctly rounded sums equal
-to ``math.fsum`` bit for bit (see :mod:`mlmckit.stats` for the fallbacks
-to ``math.fsum`` itself).
+pure function of (base_seed, global counter).
 
-The chunk loop: the pilot, ``run_mlmc`` and ``run_classical_mc`` all
-evaluate samples through one loop, each call inside one :func:`_call`.
-``workers`` defaults to the usable CPUs (the process's affinity mask),
-resolved once per call; ``workers=1`` runs serially without a pool.  The
-calling thread works as one of the workers, next to at most
-``workers - 1`` helpers from one thread pool per call, so a call never
-runs more threads than ``workers`` or than the chunks of its largest
-term.  :func:`_chunk_size` splits a term by its sample count alone into
-chunks that are equal but for a smaller last one: one chunk per 512
-samples begun, up to eight chunks, so eight from 3585 to 131 072 samples,
-and chunks of at most ``_CHUNK`` = 16 384 seeds beyond.  The chunks are
-handed out in sample order from one shared counter.  Each chunk derives
-its own seeds from (base_seed, counter), evaluates them at every level of
-its term in one ``evaluate_levels`` call, checks that the values are
-finite, and writes the coupled difference straight into the term's
-values.  Per-level values are kept only for a sample log and for the
-pilot, which needs its three levels.  Chunk boundaries and aggregation do
-not depend on the worker count, so neither do the bytes of any report.
-
-On 2 vCPUs the default of two workers took ``gbm_capped``'s median
-``run_s`` from 0.251 to 0.145 s (1.73x, ten alternating 50 s runs against
-one worker).  Cutting every term into up to eight chunks, where fixed
-16384-seed chunks ran its 4096-sample pilot on one thread, then took its
-median ``pipeline_s`` from 0.172 to 0.146 s (ten alternating 50 s pairs,
-all ten won; traced, the pilot went from 34 to 18.5 ms).  TwoScale gains
-less from a second worker: ``twoscale_cli``'s 7-level S3 ``run_mlmc``
-took 21.0-21.5 ms at one worker and 14.7-15.5 ms at two, because each
-term's statistics (three exact sums, about 3 ms per run) run on the
-calling thread after the term, while only the draws (``normal_lanes``,
-about 15 ms per run on one thread) are shared.
-
-Failures: a raised error and a non-finite value follow one rule.  The run
-fails with a :class:`ModelEvaluationError` naming the first failing chunk
-in sample order, the lowest failing level of that chunk, and its first
-failing seed at that level, unless the model raises that error itself.
-A raised error is traced to its seed by halving the chunk at each level in
-turn, in O(log chunk) calls (see :func:`_evaluate_chunk`).  Once a chunk
-fails no further chunk is handed out; the lowest failing chunk is raised
-after every chunk before it has finished.  Chunks are cut by sample count alone, so the error does
-not depend on the worker count.  Statistics that overflow a float (a
-term's mean or variance, their sums over terms, or the pilot's variances)
-raise :class:`DegenerateModelError` naming the terms or the pilot.  So does
-a coupled difference of two finite values that overflows: it names its two
-levels and its seed.  Every adjacent pair of a chunk's levels, the pilot's
-levels 1-2 and 2-3 too, is checked in that chunk, under the same
-first-failing-chunk rule.
+The pilot and :func:`run_mlmc`, which runs every plan, evaluate samples
+through one chunk loop.  Each rule of that run path is stated once, where
+it is decided: the chunk split at :func:`_chunk_size` and ``_CHUNK``;
+workers and the chunk hand-out at :func:`_call` and :func:`_evaluate_term`;
+the failure rule at :func:`_evaluate_chunk`, :func:`_differences` and
+:func:`_no_overflow`; exact sums in :mod:`mlmckit.stats`; the sample log at
+:func:`_write_sample_log`.
 """
 
 import math
@@ -74,7 +32,7 @@ import numpy as np
 
 from ._bits import MASK64, counter_seeds, mix64_int
 from ._checks import _usable_cpus, _whole
-from .planner import LevelPlan, StrategyId, _classical_plan, load
+from .planner import LevelPlan, _classical_plan, load
 from .stats import (
     LevelTermStats,
     SolutionParameters,
@@ -351,12 +309,9 @@ def _term_stats(term_index, values):
 
 
 def _std_error(term_stats):
-    contribs = []
-    for t in term_stats:
-        if t.variance is None:
-            return None
-        contribs.append(t.variance / t.count)
-    return math.sqrt(math.fsum(contribs))
+    if any(t.variance is None for t in term_stats):
+        return None
+    return math.sqrt(math.fsum(t.variance / t.count for t in term_stats))
 
 
 def _write_sample_log(path, terms):
@@ -388,8 +343,11 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
 
     Term t draws ``plan.M[t-1]`` realizations, the next ones of the counter
     stream, and evaluates each at every level of ``term_levels[t-1]`` (one or
-    two levels); a two-level term's values are the coupled differences.  The
-    realized load is :func:`~mlmckit.planner.load` of those solves.
+    two levels); a two-level term's values are the coupled differences.  A
+    term's statistics are taken on the calling thread once all its values
+    are in, so they do not depend on the worker count.  The sample log is
+    written once every term has succeeded.  The realized load is
+    :func:`~mlmckit.planner.load` of those solves.
     """
     t0 = time.perf_counter()
     stats = []
@@ -438,19 +396,18 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
 
 
 def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
-    """Execute a multilevel plan: coupled difference terms plus coarse term.
+    """Execute any plan: coupled difference terms plus the coarse term.
 
     Term t draws M[t-1] realizations and evaluates each at the levels of
     ``plan.term_levels[t-1]``: levels t and t+1 (same seed — exact coupling),
-    or level L alone for the last term.  Realizations are disjoint across
-    terms by the counter scheme.
+    or level L alone for the last term.  A ClassicalMC plan is one term at
+    level 1, the level it is sized and priced for.  Realizations are
+    disjoint across terms by the counter scheme.
 
     ``workers`` threads evaluate the chunks, the calling thread among them:
     None (the default) means the usable CPUs, 1 a serial run without a
-    pool.  The report's bytes do not depend on it.
+    pool.
     """
-    if plan.strategy is StrategyId.CLASSICAL_MC:
-        raise ValueError("classical plans are executed with run_classical_mc")
     if plan.L > model.max_level:
         raise ValueError(
             f"plan has L={plan.L} levels but the model stops at "
@@ -460,14 +417,16 @@ def run_mlmc(model, plan, base_seed, workers=None, sample_log_path=None):
 
 
 def run_classical_mc(model, level, M, base_seed, workers=None, sample_log_path=None):
-    """Plain Monte Carlo at a single level: a one-term run of ``M`` samples.
+    """Plain Monte Carlo of ``M`` samples at ``level``, which no plan names.
 
-    The report's plan is the classical plan for ``M`` without inputs;
-    ``workers`` is as for :func:`run_mlmc`.
+    :func:`run_mlmc` runs a ClassicalMC plan at level 1; this runs its one
+    term at any level.  The report's plan is the classical plan for ``M``
+    without inputs, so it has no a-priori bound; ``workers`` is as for
+    :func:`run_mlmc`.
     """
-    M = _whole("M", M, 1, None)
+    plan = _classical_plan(M)  # checks M, before the level
     level = _whole("level", level, 1, model.max_level)
-    return _run_terms(model, _classical_plan(M), [[level]], base_seed, workers, sample_log_path)
+    return _run_terms(model, plan, [[level]], base_seed, workers, sample_log_path)
 
 
 def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):

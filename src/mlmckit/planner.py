@@ -184,7 +184,7 @@ def plan_for_strategy(strategy, p, max_levels=None):
     what a model can resolve.  Every multilevel strategy plans at most 64
     levels: a ladder longer than that after the cap raises ValueError ("no
     ladder of <= 64 levels ..."), before any term is sized.  Inputs whose
-    sample count or sizing factor overflows a float raise ValueError
+    sample count, sizing factor or bound overflows a float raise ValueError
     ("cannot size a plan from ...").
 
     * ClassicalMC: the single-level baseline, M = delta^2/e^2 samples at the
@@ -248,7 +248,9 @@ def plan_for_strategy(strategy, p, max_levels=None):
         }[strategy]
         # Size every term before rounding any: a ** overflow outranks an inf.
         M = [_clamp_count(x) for x in [size(l) for l in range(1, L + 1)]]
-    except OverflowError as exc:  # a count or a ** factor past the float range
+        if math.isinf(multiplier):  # 1 / sigma overflows quietly at a subnormal sigma
+            raise OverflowError(f"the error bound multiplier is {multiplier}")
+    except OverflowError as exc:  # a count, a ** factor or the bound past the float range
         raise ValueError(f"cannot size a plan from {p}: {exc}") from exc
     # Coarsest-term closure: the statistical error of the last term must not
     # exceed e, i.e. M_L >= delta^2/e^2.  The formula already guarantees this

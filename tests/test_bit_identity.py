@@ -172,6 +172,11 @@ def test_classical_report_bytes_are_pinned():
     )
 
 
+# A TwoScale classical run from a 512-sample pilot at seed 7, written as
+# the CLI writes a report.
+CLASSICAL_FILE_DIGEST = "2204e07d332452ec2928ec7c8a006b9bdb2fcaf3e41d3cddc9b45a57e51dc636"
+
+
 def test_cli_classical_report_bytes_are_pinned(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
@@ -187,6 +192,18 @@ def test_cli_classical_report_bytes_are_pinned(tmp_path):
     assert report["plan"]["inputs"] is not None
     # A CLI classical run is at level 1, the level its plan prices.
     assert report["seeds"]["terms"][0]["levels"] == [1]
-    assert _file_digest(tmp_path / "report.json") == (
-        "2204e07d332452ec2928ec7c8a006b9bdb2fcaf3e41d3cddc9b45a57e51dc636"
-    )
+    assert _file_digest(tmp_path / "report.json") == CLASSICAL_FILE_DIGEST
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_mlmc_of_a_classical_plan_is_the_cli_report(tmp_path, workers):
+    model = TwoScaleModel()
+    params = pilot_estimate_parameters(model, 512, base_seed=7, workers=2)
+    plan = plan_for_strategy("ClassicalMC", params, max_levels=model.max_level)
+    report = run_mlmc(model, plan, base_seed=7, workers=workers)
+    assert report.a_priori_error_bound is not None
+    path = tmp_path / "report.json"
+    with open(path, "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2)
+        fh.write("\n")
+    assert _file_digest(path) == CLASSICAL_FILE_DIGEST

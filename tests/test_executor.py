@@ -128,11 +128,7 @@ def test_level_blind_model_gives_zero_difference_terms():
 def test_realized_load_is_the_plan_load(strategy):
     # The planner's DOF law over the solves the ledger records, bit for bit.
     plan = plan_for_strategy(strategy, SolutionParameters(delta=1.0, e=0.1, alpha=1.0))
-    model = TwoScaleModel(max_level=plan.L)
-    if strategy is StrategyId.CLASSICAL_MC:
-        report = run_classical_mc(model, 1, plan.M[0], base_seed=0)
-    else:
-        report = run_mlmc(model, plan, base_seed=0)
+    report = run_mlmc(TwoScaleModel(max_level=plan.L), plan, base_seed=0)
     assert report.realized_load == plan.relative_load
     solves = [0] * plan.L
     for term in report.seeds["terms"]:
@@ -169,8 +165,6 @@ def test_run_mlmc_rejections():
     model = TwoScaleModel(max_level=2)
     with pytest.raises(ValueError):
         run_mlmc(model, _plan(StrategyId.S1, (4, 4, 4)), 0)  # L > max_level
-    with pytest.raises(ValueError):
-        run_mlmc(model, _plan(StrategyId.CLASSICAL_MC, (4,), multiplier=2.0), 0)
     with pytest.raises(ValueError):
         run_mlmc(model, _plan(StrategyId.S2, (4, 4)), 0, workers=0)
     for bad_seed in (-1, 2**64, True, 1.5):

@@ -210,6 +210,12 @@ def test_plan_for_strategy_dispatch():
         assert plan == plan_for_strategy(strategy, BENCH)
         with pytest.raises(ValueError, match="cannot size a plan from"):
             plan_for_strategy(strategy, huge)
+    # At a subnormal sigma, 1 / sigma is inf without an OverflowError: the
+    # S3 and S4 bound 3 + 1/sigma is no bound.
+    subnormal = SolutionParameters(delta=2.0, e=0.5, alpha=1.0, sigma=5e-324)
+    for strategy in (StrategyId.S3, StrategyId.S4):
+        with pytest.raises(ValueError, match="cannot size a plan from"):
+            plan_for_strategy(strategy, subnormal)
     with pytest.raises(ValueError):
         plan_for_strategy("S9", BENCH)
 
