@@ -1,9 +1,9 @@
 """Command-line front end: ``plan``, ``pilot``, ``run`` and ``report``.
 
 Exit codes: 0 success, 2 invalid flags or config (an output path that
-cannot be written included, found before any work), 3 degenerate pilot
-statistics or run statistics that overflow a float, 4 model evaluation
-failure, 5 malformed report file.
+cannot be written or that names the config included, found before any
+work), 3 a pilot that cannot plan or run statistics that overflow a float,
+4 model evaluation failure, 5 malformed report file.
 
 Every command is deterministic given its flags and base seed; rerunning
 writes byte-identical JSON.  ``run`` writes the per-evaluation CSV sample
@@ -69,16 +69,17 @@ def _sig4(x):
     return format(x, ".4g")
 
 
-def _check_writable(*paths):
+def _check_writable(*paths, config=None):
     """Raise ValueError, before any work, for an output that cannot be written.
 
     An existing path must be a writable file, a new one needs a writable
-    directory, and no two may name one file.  A None path is skipped.
+    directory, and no two may name one file, nor the ``config`` the command
+    read.  A None path is skipped.
     Nothing is opened: no output is created or truncated before the config
     and its entries are known good, so a command that fails on them leaves
     every output as it was.
     """
-    seen = {}
+    seen = {} if config is None else {os.path.realpath(config): f"the config {config}"}
     for path in paths:
         if path is None:
             continue
@@ -215,7 +216,7 @@ def cmd_plan(args):
 
 def cmd_pilot(args):
     cfg = _load_config(args, ("pilot_samples", "base_seed"))
-    _check_writable(args.out)
+    _check_writable(args.out, config=args.config)
     model, _, _ = _build(cfg)
     params = pilot_estimate_parameters(
         model, cfg.pilot_samples, cfg.base_seed, workers=cfg.workers
@@ -253,7 +254,7 @@ def _resolve_plan(cfg, model, plan, params):
 
 def cmd_run(args):
     cfg = _load_config(args, ("base_seed", "strategy", "out", "workers", "sample_log"))
-    _check_writable(cfg.out, cfg.sample_log)
+    _check_writable(cfg.out, cfg.sample_log, config=args.config)
     model, plan, params = _build(cfg)
     plan = _resolve_plan(cfg, model, plan, params)
     if plan.strategy is StrategyId.CLASSICAL_MC:

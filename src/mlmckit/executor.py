@@ -74,9 +74,9 @@ class ModelEvaluationError(RuntimeError):
 
 
 class DegenerateModelError(ValueError):
-    """Statistics unusable: a pilot that cannot plan (e.g. zero variance),
-    or a pilot's or run's coupled differences or statistics that overflow a
-    float."""
+    """Statistics unusable: a pilot that cannot plan (the rule is in
+    :func:`pilot_estimate_parameters`), a pilot's or run's coupled
+    difference that overflows a float, or a run's statistics that do."""
 
 
 @contextmanager
@@ -102,7 +102,9 @@ class QoIModel(ABC):
     The executor calls ``evaluate_levels(levels, seeds)`` once per chunk,
     for every level of its term.  A model may override it to share work
     between the levels of one realization, such as its draw; it must equal
-    the stacked ``evaluate_many`` rows bit for bit.
+    the stacked ``evaluate_many`` rows bit for bit, for any tuple of levels:
+    a row depends on its own level alone, never on which other levels are
+    asked for or in what order.
     """
 
     max_level: int = 1
@@ -438,6 +440,12 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     the sizing identity.  Pilot seeds come from a salted sub-stream so they
     are never reused by a later run with the same base_seed.  ``workers`` is
     as for :func:`run_mlmc`.
+
+    The pilot's one failure rule: a zero spread, an alpha outside
+    [0, inf), or a float overflow anywhere in deriving (delta, e, alpha)
+    from the pilot's values raises :class:`DegenerateModelError` naming the
+    pilot (CLI exit 3), rather than a plan.  A coupled difference that
+    overflows is the run path's rule (:func:`_differences`).
     """
     pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
@@ -450,25 +458,18 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
             model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
         )
     with _no_overflow("pilot"):
-        var_12 = unbiased_variance(d12)
-        var_23 = unbiased_variance(d23)
-        var_u = unbiased_variance(u2)
-    if var_12 == 0.0 or var_23 == 0.0 or var_u == 0.0:
-        raise DegenerateModelError(
-            "pilot variance is zero: a deterministic (or exactly coupled) "
-            "model cannot be planned from pilot statistics"
+        delta_12, delta_23, delta = [math.sqrt(unbiased_variance(v)) for v in (d12, d23, u2)]
+        if 0.0 in (delta_12, delta_23, delta):
+            raise DegenerateModelError(
+                "pilot variance is zero: a deterministic (or exactly coupled) "
+                "model cannot be planned from pilot statistics"
+            )
+        alpha = estimate_alpha(delta_12, delta_23)
+        if not 0.0 <= alpha < math.inf:
+            raise DegenerateModelError(
+                f"pilot decay exponent alpha={alpha:.4g} is outside [0, inf): coupled "
+                "differences grow toward finer levels, or shrink past the float range"
+            )
+        return SolutionParameters(
+            delta=delta, e=estimate_fine_error(delta_12, alpha), alpha=alpha, sigma=1.0
         )
-    delta_12 = math.sqrt(var_12)
-    delta_23 = math.sqrt(var_23)
-    alpha = estimate_alpha(delta_12, delta_23)
-    if alpha < 0:
-        raise DegenerateModelError(
-            f"pilot decay exponent is negative (alpha={alpha:.4g}): coupled "
-            "differences grow toward finer levels, nothing to plan"
-        )
-    return SolutionParameters(
-        delta=math.sqrt(var_u),
-        e=estimate_fine_error(delta_12, alpha),
-        alpha=alpha,
-        sigma=1.0,
-    )

@@ -106,10 +106,10 @@ def _gbm_batch(spec, n_level, seeds, out):
 
 
 class GBMModel(QoIModel):
-    """QoIModel that runs the GBM kernel over tiles of seeds.
+    """QoIModel that runs the GBM kernel one tile of seeds at a time.
 
-    A tile holds ``_bits._TILE // steps_at_finest`` seeds (at least one):
-    256 seeds at the default 256 steps.
+    Its tiles are :func:`mlmckit._bits._tiles` of ``steps_at_finest`` lanes
+    per seed.
     """
 
     def __init__(self, spec=None):
@@ -282,12 +282,12 @@ def _burgers_integrate(u, f, dx, viscosity, time_horizon, avg_from):
 class BurgersModel(QoIModel):
     """QoIModel that integrates a batch from rest, one tile of seeds at a time.
 
-    A tile of ``_bits._TILE // n`` seeds (n cells, at least one seed) steps
-    together as one (B, n) array, so a batch's working set is one tile's
-    and the batch's forcing lanes.  Levels run in the order given (the
-    executor's is ascending) and tiles in seed order, each to its last
-    step, so a batch names its first failing level and that level's first
-    blown seed in seed order.
+    A tile of seeds, :func:`mlmckit._bits._tiles` of n lanes per seed at n
+    cells, steps together as one (B, n) array, so a batch's working set is
+    one tile's and the batch's forcing lanes.  Levels run in the order
+    given (the executor's is ascending) and tiles in seed order, each to
+    its last step, so a batch names its first failing level and that
+    level's first blown seed in seed order.
     """
 
     def __init__(self, spec=None):

@@ -377,6 +377,11 @@ NO_DIR = "/nonexistent/dir/x.json"
         # A sample log at the report's path: the report overwrote the log.
         (["run"], {"sample_log": "r.json", "out": "r.json"}),
         (["run", "--sample-log", "r.json", "--out", "./r.json"], {}),
+        # An output at the config's path: the output overwrote the config.
+        (["run", "--out", "cfg.json"], {}),
+        (["pilot", "--out", "cfg.json"], {}),
+        (["run"], {"out": "cfg.json"}),
+        (["run"], {"sample_log": "cfg.json"}),
     ],
 )
 def test_an_output_that_cannot_be_written_exits_2_before_any_work(
@@ -393,12 +398,14 @@ def test_an_output_that_cannot_be_written_exits_2_before_any_work(
     monkeypatch.setattr(models.TwoScaleModel, "evaluate_levels", spy)
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, "strategy": "s1", "pilot_samples": 64, **entries})
+    config = cfg.read_bytes()
     if argv[0] != "plan":
         argv = [argv[0], "--config", str(cfg), *argv[1:]]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
     assert calls == []
     assert os.listdir(tmp_path) == ["cfg.json"]
+    assert cfg.read_bytes() == config
 
 
 # ---------------------------------------------------------------------------

@@ -1015,6 +1015,19 @@ def test_pilot_rejects_degenerate_models():
         pilot_estimate_parameters(LevelBlindModel(), 64, 0)
 
 
+class ThreeLevelModel(QoIModel):
+    """Levels 1, 2 and 3 return a z0, b z0 and c z1 of the seed's two normals."""
+
+    max_level = 3
+
+    def __init__(self, a, b, c):
+        self.a, self.b, self.c = a, b, c
+
+    def evaluate_many(self, level, seeds):
+        z = normal_lanes(np.asarray(seeds, dtype=np.uint64), 2)
+        return (self.a * z[:, 0], self.b * z[:, 0], self.c * z[:, 1])[level - 1]
+
+
 def test_pilot_rejects_growing_differences():
     class InvertedModel(QoIModel):
         max_level = 8
@@ -1028,6 +1041,10 @@ def test_pilot_rejects_growing_differences():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DegenerateModelError, match="alpha=-"):
             pilot_estimate_parameters(InvertedModel(), 64, 0)
+        # Difference spreads near 1e-161 and 1e153: their ratio, and so
+        # alpha, is inf.
+        with pytest.raises(DegenerateModelError, match="alpha=inf"):
+            pilot_estimate_parameters(ThreeLevelModel(2e-161, 1e-161, 1e153), 64, 0)
 
 
 def test_statistics_that_overflow_are_degenerate():
@@ -1037,6 +1054,10 @@ def test_statistics_that_overflow_are_degenerate():
         run_classical_mc(GBMModel(GBMSpec(S0=1e308)), 1, 64, base_seed=0, workers=1)
     with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
         pilot_estimate_parameters(GBMModel(GBMSpec(S0=1e307)), 64, 0, workers=1)
+    # Difference spreads near 1e-150 and 1e50: alpha is about 664, and the
+    # 4**alpha of the fine-error identity overflows.
+    with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
+        pilot_estimate_parameters(ThreeLevelModel(2e-150, 1e-150, 1e50), 64, 0)
 
 
 class SignByPositionModel(QoIModel):
