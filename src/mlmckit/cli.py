@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid flags or config (an output path that
 cannot be written or that names the config included, found before any
-work), 3 a pilot that cannot plan or run statistics that overflow a float,
-4 model evaluation failure, 5 malformed report file.
+work) or a plan or pilot too large to allocate, 3 a pilot that cannot plan
+or run statistics that overflow a float, 4 model evaluation failure, 5
+malformed report file.
 
 Every command is deterministic given its flags and base seed; rerunning
 writes byte-identical JSON.  ``run`` writes the per-evaluation CSV sample
@@ -54,12 +55,14 @@ class _BadReport(ValueError):
 
 
 # The exit code of each error a command raises, most specific first:
-# DegenerateModelError is a ValueError too.
+# DegenerateModelError is a ValueError too.  A MemoryError is a plan or
+# pilot too large to allocate.
 _EXIT_CODES = (
     (_BadReport, EXIT_BAD_REPORT),
     (DegenerateModelError, EXIT_DEGENERATE),
     (ModelEvaluationError, EXIT_MODEL_FAILURE),
     (ValueError, EXIT_USAGE),
+    (MemoryError, EXIT_USAGE),
 )
 
 
@@ -318,20 +321,15 @@ def cmd_report(args):
 
     header = (
         f"{'report':<24} {'strategy':<12} {'estimate':>12} {'std_err':>10} "
-        f"{'bound':>10} {'load':>10} {'savings':>8}"
+        f"{'bound':>10} {'load':>10}"
     )
     print(header)
     print("-" * len(header))
-    base_load = rows[0]["realized_load"]
     for row in rows:
-        if base_load and row["realized_load"] is not None:
-            savings = f"{(1.0 - row['realized_load'] / base_load) * 100.0:.1f}%"
-        else:
-            savings = "-"
         print(
             f"{row['path']:<24} {row['strategy']:<12} {_sig4(row['estimate']):>12} "
             f"{_sig4(row['estimated_std_error']):>10} {_sig4(row['a_priori_error_bound']):>10} "
-            f"{_sig4(row['realized_load']):>10} {savings:>8}"
+            f"{_sig4(row['realized_load']):>10}"
         )
     return EXIT_OK
 
@@ -404,7 +402,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, ModelEvaluationError) as exc:
+    except tuple(kind for kind, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 

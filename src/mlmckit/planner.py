@@ -260,17 +260,6 @@ def plan_for_strategy(strategy, p, max_levels=None):
     return LevelPlan(strategy, tuple(M), multiplier, p)
 
 
-def _polynomial_n_exponent(strategy, alpha):
-    """N-exponent of the strategy's polynomial-regime cost cell."""
-    strategy = StrategyId(strategy)
-    if strategy is StrategyId.CLASSICAL_MC:
-        return 1.0 + 2.0 * alpha / 3.0
-    if strategy is StrategyId.S2:
-        return 1.0 + alpha * (2.0 * alpha - 1.0) / (3.0 * (alpha + 1.0))
-    # S1, S3, S4 share the same polynomial N-exponent.
-    return 1.0 + (2.0 * alpha - 3.0) / 3.0
-
-
 def classify_cost_regime(strategy, alpha, sigma=1.0):
     """Asymptotic total-cost cell for a strategy at the given exponents.
 
@@ -278,27 +267,33 @@ def classify_cost_regime(strategy, alpha, sigma=1.0):
     alpha = 1/2): linear below the switch, quasilinear at it and polynomial
     above it, each times its power of (log delta + log N).  Strategy 3 has
     no linear cell: even its small-alpha regime carries a polylog factor.
-    The classical baseline is polynomial for every alpha.
+    The classical baseline is polynomial for every alpha.  A cell whose
+    exponent would print as inf or nan raises ValueError naming alpha and
+    sigma.
     """
     strategy = StrategyId(strategy)
     _finite("alpha", alpha, ">= 0")
     _finite("sigma", sigma, "> 0")
 
-    def g(x):
+    def g(x):  # every exponent the cell prints
+        if not math.isfinite(x):
+            raise ValueError(f"alpha={alpha!r} and sigma={sigma!r} give a cost exponent of {x}")
         return format(x, ".4g")
 
-    n_poly = f"N^{g(_polynomial_n_exponent(strategy, alpha))}"
     if strategy is StrategyId.CLASSICAL_MC:
-        return CostRegime(Growth.POLYNOMIAL, "all alpha", f"O(delta^2 * {n_poly})")
-    w, v = 2.0 * (1.0 + sigma), 2.0 * sigma + 3.0
+        n = 1.0 + 2.0 * alpha / 3.0
+        return CostRegime(Growth.POLYNOMIAL, "all alpha", f"O(delta^2 * N^{g(n)})")
+    w, v, n1 = 2.0 * (1.0 + sigma), 2.0 * sigma + 3.0, 1.0 + (2.0 * alpha - 3.0) / 3.0
+    n2 = 1.0 + alpha * (2.0 * alpha - 1.0) / (3.0 * (alpha + 1.0))
     # Per strategy: the switch alpha and its label, the offset k of the delta
-    # exponent 2 (alpha - switch) / (alpha + k) above the switch, and the
-    # powers of (log delta + log N) below, at and above it (0: no log factor).
-    switch, label, k, (below, at, above) = {
-        StrategyId.S1: (1.5, "3/2", 0.0, (0, 1, 0)),
-        StrategyId.S2: (0.5, "1/2", 1.0, (0, 1, 0)),
-        StrategyId.S3: (1.5, "3/2", 0.0, (w, v, w)),
-        StrategyId.S4: (1.5, "3/2", 0.0, (0, v, w)),
+    # exponent 2 (alpha - switch) / (alpha + k) and the N exponent n above the
+    # switch, and the powers of (log delta + log N) below, at and above it
+    # (0: no log factor).
+    switch, label, k, n, (below, at, above) = {
+        StrategyId.S1: (1.5, "3/2", 0.0, n1, (0, 1, 0)),
+        StrategyId.S2: (0.5, "1/2", 1.0, n2, (0, 1, 0)),
+        StrategyId.S3: (1.5, "3/2", 0.0, n1, (w, v, w)),
+        StrategyId.S4: (1.5, "3/2", 0.0, n1, (0, v, w)),
     }[strategy]
 
     def logs(power):
@@ -306,7 +301,7 @@ def classify_cost_regime(strategy, alpha, sigma=1.0):
 
     if alpha > switch:
         factors = [logs(above)] if above else []
-        factors += [f"delta^{g(2.0 * (alpha - switch) / (alpha + k))}", n_poly]
+        factors += [f"delta^{g(2.0 * (alpha - switch) / (alpha + k))}", f"N^{g(n)}"]
         return CostRegime(
             Growth.POLYNOMIAL, f"alpha > {label}", f"O({' * '.join(factors)})"
         )

@@ -192,22 +192,30 @@ def estimate_alpha(delta_12, delta_23):
     The coupled differences shrink by 2^alpha per refinement, so
     alpha = log2(delta_23 / delta_12), returned with either sign.  A negative
     result (the coarser pair spreads *less*) signals a non-convergent ladder,
-    which :func:`~mlmckit.executor.pilot_estimate_parameters` rejects.
+    which :func:`~mlmckit.executor.pilot_estimate_parameters` rejects.  A
+    spread ratio past the float range gives inf, one that underflows to 0
+    gives -inf.
     """
     _finite("delta_12", delta_12, "> 0")
     _finite("delta_23", delta_23, "> 0")
-    return math.log2(delta_23 / delta_12)
+    ratio = delta_23 / delta_12
+    return math.log2(ratio) if ratio else -math.inf
 
 
 def _base_factor(alpha):
-    # 2 (1 + 4^alpha): the prefactor of every strategy's counts and of the sizing identity.
+    # 2 (1 + 4^alpha): the prefactor of every strategy's counts and of the sizing
+    # identity.  It is below 2^1024, so a float, exactly while alpha < 511.5.
+    if not alpha < 511.5:
+        raise OverflowError(f"2 (1 + 4^alpha) is past the float range at alpha={alpha!r}")
     return 2.0 * (1.0 + 4.0**alpha)
 
 
 def estimate_fine_error(delta_12, alpha):
     """Fine-level discretization error consistent with the finest coupled pair.
 
-    Inverts the sizing identity delta_12 = e * sqrt(2 (1 + 4^alpha)).
+    Inverts the sizing identity delta_12 = e * sqrt(2 (1 + 4^alpha)).  An
+    alpha of 511.5 or more, where 2 (1 + 4^alpha) passes the float range,
+    raises OverflowError naming alpha.
     """
     _finite("delta_12", delta_12, "> 0")
     _finite("alpha", alpha, ">= 0")

@@ -693,6 +693,27 @@ def test_run_parameters_whose_plan_overflows_exit_2(tmp_path, capsys, strategy):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, entry",
+    [
+        ("run", {"strategy": "mc", "parameters": {"delta": 1.0, "e": 3e-9, "alpha": 1.0}}),
+        ("pilot", {"pilot_samples": 1e17}),
+        ("run", {"strategy": "s1", "pilot_samples": 1e17}),
+    ],
+    ids=["run_plan", "pilot", "run_inline_pilot"],
+)
+def test_a_plan_or_pilot_too_large_to_allocate_exits_2(tmp_path, capsys, command, entry):
+    # A term of 1.1e17 values (789 PiB) and a pilot of 1e17 (1.39 EiB): past
+    # what a 64-bit address space can map, so the allocation fails at once.
+    # Each printed numpy's traceback and exited 1.
+    cfg = tmp_path / "cfg.json"
+    _write(cfg, {"model": {"kind": "two_scale"}, **entry})
+    assert main([command, "--config", str(cfg), "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_run_model_failure_exits_4(tmp_path, capsys):
     cfg = tmp_path / "burgers.json"
     plan = {
@@ -765,28 +786,31 @@ def _fake_report(strategy, load, estimate=1.0):
     }
 
 
-def test_report_table_with_savings(tmp_path, capsys):
+def test_report_table_prints_each_reports_own_fields(tmp_path, capsys):
     a = tmp_path / "mc.json"
     b = tmp_path / "s1.json"
     _write(a, _fake_report("ClassicalMC", 100.0))
     _write(b, _fake_report("S1", 38.0))
     rc = main(["report", str(a), str(b)])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "ClassicalMC" in out and "S1" in out
-    assert "0.0%" in out
-    assert "62.0%" in out
+    header, rule, *rows = capsys.readouterr().out.splitlines()
+    # No savings column: load is the DOF law's count, not a measured cost.
+    assert header.split() == ["report", "strategy", "estimate", "std_err", "bound", "load"]
+    assert rule == "-" * len(header)
+    assert [row.split()[1:] for row in rows] == [
+        ["ClassicalMC", "1", "0.01", "0.5", "100"],
+        ["S1", "1", "0.01", "0.5", "38"],
+    ]
 
 
-def test_report_without_a_first_load_has_no_savings(tmp_path, capsys):
+def test_a_null_realized_load_prints_a_dash_in_the_load_column(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     _write(a, {**_fake_report("ClassicalMC", 100.0), "realized_load": None})
     _write(b, _fake_report("S1", 38.0))
     assert main(["report", str(a), str(b)]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
-    assert len(rows) == 2
-    assert all(row.split()[-1] == "-" for row in rows)
+    assert [row.split()[-1] for row in rows] == ["-", "38"]
 
 
 def test_report_on_real_run_output(tmp_path, capsys):

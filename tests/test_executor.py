@@ -1055,9 +1055,12 @@ def test_statistics_that_overflow_are_degenerate():
     with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
         pilot_estimate_parameters(GBMModel(GBMSpec(S0=1e307)), 64, 0, workers=1)
     # Difference spreads near 1e-150 and 1e50: alpha is about 664, and the
-    # 4**alpha of the fine-error identity overflows.
-    with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
-        pilot_estimate_parameters(ThreeLevelModel(2e-150, 1e-150, 1e50), 64, 0)
+    # 4**alpha of the fine-error identity overflows.  Near 1e-150 and 1e4,
+    # alpha is about 511.6: 4**alpha is finite but 2 (1 + 4**alpha) is not,
+    # so e came out 0.0 and the pilot raised "e must be finite and > 0".
+    for c in (1e50, 1e4):
+        with pytest.raises(DegenerateModelError, match="pilot statistics overflow"):
+            pilot_estimate_parameters(ThreeLevelModel(2e-150, 1e-150, c), 64, 0)
 
 
 class SignByPositionModel(QoIModel):

@@ -10,7 +10,6 @@ from mlmckit.planner import (
     Growth,
     LevelPlan,
     StrategyId,
-    _polynomial_n_exponent,
     classify_cost_regime,
     plan_for_strategy,
     relative_dof,
@@ -362,9 +361,6 @@ def test_classical_regime_polynomial_for_every_alpha():
     for alpha in (0.0, 0.5, 1.07, 1.5, 3.0):
         cell = classify_cost_regime(StrategyId.CLASSICAL_MC, alpha)
         assert cell.growth is Growth.POLYNOMIAL
-    assert _polynomial_n_exponent(StrategyId.CLASSICAL_MC, 1.07) == pytest.approx(
-        1.7133333333333334, rel=1e-15
-    )
     assert classify_cost_regime("ClassicalMC", 1.07).formula == "O(delta^2 * N^1.713)"
 
 
@@ -378,7 +374,6 @@ def test_strategy1_regime_switch_at_three_halves():
     top = classify_cost_regime("S1", 2.0)
     assert top.growth is Growth.POLYNOMIAL
     assert top.formula == "O(delta^0.5 * N^1.333)"
-    assert _polynomial_n_exponent("S1", 2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 def test_strategy2_regime_switch_at_one_half():
@@ -387,7 +382,6 @@ def test_strategy2_regime_switch_at_one_half():
     assert classify_cost_regime("S2", 0.5).growth is Growth.QUASILINEAR
     cell = classify_cost_regime("S2", 1.07)
     assert cell.growth is Growth.POLYNOMIAL
-    assert _polynomial_n_exponent("S2", 1.07) == pytest.approx(1.1964, abs=1e-3)
     assert cell.formula == "O(delta^0.5507 * N^1.196)"
 
 
@@ -431,6 +425,14 @@ def test_regime_validation():
         for sigma in (math.nan, math.inf, True, -1.0, "2", None):
             with pytest.raises(ValueError, match="sigma must be"):
                 classify_cost_regime(strategy, 1.07, sigma=sigma)
+    # Finite inputs whose printed exponent is not: S2's N exponent at
+    # alpha = 1e200 (it printed N^inf), every strategy's at 1e308 (S2's was
+    # N^nan), and S3's power of the logs at sigma = 1e308.
+    for strategy, alpha, sigma in (
+        ("S2", 1e200, 1.0), *((s, 1e308, 1.0) for s in StrategyId), ("S3", 1.0, 1e308)
+    ):
+        with pytest.raises(ValueError, match=r"alpha=.* give a cost exponent of (inf|nan)"):
+            classify_cost_regime(strategy, alpha, sigma=sigma)
 
 
 # (strategy, alpha, sigma, growth, threshold_note, formula): every

@@ -1,5 +1,6 @@
 """The README's examples run, and print what the README says they print."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -40,6 +41,22 @@ def test_plan_table_matches_the_cli(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert capsys.readouterr().out == PLAIN_BLOCKS[i + 1]
     assert (tmp_path / "plans.json").exists()
+
+
+def test_report_table_matches_the_cli(tmp_path, capsys, monkeypatch):
+    # Reports that hold the numbers of the README's rows print its table:
+    # the header, the rule and every row.
+    monkeypatch.chdir(tmp_path)
+    command, *table = next(
+        b for b in PLAIN_BLOCKS if b.startswith("$ mlmckit report ")
+    ).splitlines()
+    keys = ("estimate", "estimated_std_error", "a_priori_error_bound", "realized_load")
+    for row in table[2:]:
+        path, strategy, *values = row.split()
+        report = dict(zip(keys, (None if v == "-" else float(v) for v in values)))
+        (tmp_path / path).write_text(json.dumps({**report, "plan": {"strategy": strategy}}))
+    assert main(shlex.split(command)[2:]) == 0
+    assert capsys.readouterr().out.splitlines() == table
 
 
 def test_every_public_name_resolves():

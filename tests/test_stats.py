@@ -288,6 +288,10 @@ def test_negative_alpha_passes_through_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert estimate_alpha(2.0, 1.0) == -1.0
+        # A spread ratio that underflows to 0 is -inf, as one that
+        # overflows is inf; it raised "math domain error".
+        assert estimate_alpha(1e300, 1e-300) == -math.inf
+        assert estimate_alpha(1e-300, 1e300) == math.inf
 
 
 def test_alpha_rejects_nonpositive_spreads():
@@ -322,6 +326,13 @@ def test_fine_error_validation():
     # An infinite spread gave e = inf.
     with pytest.raises(ValueError, match="delta_12"):
         estimate_fine_error(math.inf, 1.0)
+    # 2 (1 + 4^alpha) past the float range names alpha: at 600 4**alpha
+    # raised a bare "Numerical result out of range", and at 511.6 the
+    # doubling turned inf quietly and e came out 0.0.
+    for alpha in (600.0, 511.6):
+        with pytest.raises(OverflowError, match=f"alpha={alpha}"):
+            estimate_fine_error(1.0, alpha)
+    assert estimate_fine_error(1.0, 511.4) > 0.0
 
 
 # ---------------------------------------------------------------------------
