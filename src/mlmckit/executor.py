@@ -243,13 +243,14 @@ def _differences(levels, out, seeds):
     return diff
 
 
-def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=False):
+def _evaluate_term(what, model, levels, base_seed, start, count, pool, helpers, keep=False):
     """Evaluate ``count`` realizations, counters ``start`` onwards, at ``levels``.
 
     Returns ``(values, rows)``.  ``values`` holds one row per adjacent pair
     of ``levels``, its coupled differences ``U[levels[i]] - U[levels[i+1]]``,
     or the one row of values at the only level.  With ``keep``, ``rows``
-    holds one row of values per level; otherwise None.
+    holds one row of values per level; otherwise None.  Arrays too large
+    to allocate raise MemoryError naming ``what`` and ``count``.
 
     This is the executor's one loop over samples.  The calling thread and
     up to ``helpers`` threads of ``pool`` take chunk indices in sample
@@ -260,8 +261,11 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
     index and stops the hand-out, every chunk before it being out already;
     the lowest one is raised once every thread has finished its chunk.
     """
-    values = np.empty((max(1, len(levels) - 1), count))
-    rows = np.empty((len(levels), count)) if keep else None
+    try:
+        values = np.empty((max(1, len(levels) - 1), count))
+        rows = np.empty((len(levels), count)) if keep else None
+    except MemoryError as exc:
+        raise MemoryError(f"{exc}: {what} has {count} samples") from exc
     size = _chunk_size(count)
     chunks = -(-count // size)
     lock = threading.Lock()
@@ -306,7 +310,7 @@ def _evaluate_term(model, levels, base_seed, start, count, pool, helpers, keep=F
 
 def _term_stats(term_index, values):
     mean = mc_mean(values)
-    var = unbiased_variance(values) if len(values) >= 2 else None
+    var = unbiased_variance(values, mean) if len(values) >= 2 else None
     return LevelTermStats(term_index=term_index, mean=mean, variance=var, count=len(values))
 
 
@@ -359,6 +363,7 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     with _call(base_seed, workers, max(plan.M)) as (base_seed, pool, helpers):
         for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
             (values,), rows = _evaluate_term(
+                f"term {term} (levels {list(levels)})",
                 model, levels, base_seed, start, count, pool, helpers,
                 keep=sample_log_path is not None,
             )
@@ -455,7 +460,8 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     with _call(base_seed, workers, pilot_samples) as (base_seed, pool, helpers):
         pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
         (d12, d23), (_, u2, _) = _evaluate_term(
-            model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers, keep=True
+            "the pilot", model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers,
+            keep=True,
         )
     with _no_overflow("pilot"):
         delta_12, delta_23, delta = [math.sqrt(unbiased_variance(v)) for v in (d12, d23, u2)]

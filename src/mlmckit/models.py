@@ -32,6 +32,12 @@ def _ladder(spec, finest, least):
         )
 
 
+def _at_level(spec, finest, level):
+    """``spec``'s ``finest`` grid size at ``level`` of its ladder, halved
+    once for each level after the first."""
+    return getattr(spec, finest) >> (_whole("level", level, 1, spec.max_level) - 1)
+
+
 # ---------------------------------------------------------------------------
 # Geometric Brownian motion testbed
 # ---------------------------------------------------------------------------
@@ -61,7 +67,7 @@ class GBMSpec:
         _ladder(self, "steps_at_finest", 1)
 
     def steps_at_level(self, level):
-        return self.steps_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
+        return _at_level(self, "steps_at_finest", level)
 
     @classmethod
     def from_json_dict(cls, d):
@@ -194,7 +200,7 @@ class BurgersSpec:
         _ladder(self, "cells_at_finest", 4)
 
     def cells_at_level(self, level):
-        return self.cells_at_finest >> (_whole("level", level, 1, self.max_level) - 1)
+        return _at_level(self, "cells_at_finest", level)
 
     @classmethod
     def from_json_dict(cls, d):

@@ -5,16 +5,20 @@ results are bit-reproducible no matter how the samples were produced or
 scheduled.  Samples are summed straight from a float64 array
 (:func:`_fsum`): each block of values is split by two vectorized
 extraction steps into two exact sums and a few remainders, and
-``math.fsum`` rounds those parts once.  Empty arrays, arrays whose sum
-could overflow or that hold an inf or NaN, and sums that are exactly zero
-go to ``math.fsum`` itself, which gives the same value or error (and the
-interpreter's sign of zero).  Squared deviations are IEEE products (``d * d``) rather than
-libm ``pow``, so variance bytes do not depend on the platform's libm; a
-variance can differ from a ``(x - m) ** 2`` sum in its last bit.  Means,
-and so estimates, involve no squares and are unaffected.  The squares are
-formed one block at a time inside the sum, so a variance allocates one
-block's buffers whatever the sample count; only the cases left to
-``math.fsum`` form them all.
+``math.fsum`` rounds those parts once.  Both steps use one scale for
+every block of a sweep, set by the samples' min and max.  A term is
+summed once for its mean and once for its squared deviations:
+:func:`unbiased_variance` takes the term's mean.  Empty arrays, arrays
+whose sum could overflow or that hold an inf or NaN, and sums that are
+exactly zero go to ``math.fsum`` itself, which gives the same value or
+error (and the interpreter's sign of zero).  Squared deviations are IEEE
+products (``d * d``) rather than libm ``pow``, so variance bytes do not
+depend on the platform's libm; a variance can differ from a
+``(x - m) ** 2`` sum in its last bit.  Means, and so estimates, involve
+no squares and are unaffected.  The squares are formed one block at a
+time inside the sum, so a variance allocates one block's buffers
+whatever the sample count; only the cases left to ``math.fsum`` form
+them all.
 """
 
 import math
@@ -107,18 +111,25 @@ _SUM_BLOCK = 16384
 _M = (_SUM_BLOCK + 1).bit_length()
 
 
-def _fsum(v, center=None):
+def _bounds(v):
+    """``(v.min(), v.max())`` as floats; NaN for an empty array."""
+    return (float(v.min()), float(v.max())) if v.size else (math.nan, math.nan)
+
+
+def _fsum(v, center=None, bounds=None):
     """``math.fsum(v)`` of a contiguous float64 array, bit for bit, vectorized.
 
     With ``center``, the sum of the IEEE squares
     ``(v - center) * (v - center)``, formed one block at a time in a
     block-sized buffer, or the error that forming them all would raise.
+    ``bounds`` is :func:`_bounds` of ``v``, when the caller has it.
     """
     n = v.size
+    lo, hi = _bounds(v) if bounds is None else bounds
     c = 0.0 if center is None else center
     # The largest |v - c|: rounding is monotone, so it is at v.max() or
     # v.min(), and so is the largest square.
-    top = max(float(v.max()) - c, c - float(v.min())) if n else math.nan
+    top = max(hi - c, c - lo)
     if center is not None:
         top *= top
     # Empty arrays, inf, NaN, and sums (or a sigma) that could overflow:
@@ -134,6 +145,11 @@ def _fsum(v, center=None):
                 except FloatingPointError as exc:
                     raise OverflowError("squared deviation out of range") from exc
         return math.fsum(memoryview(v))
+    # One sigma per extraction serves every block: top bounds every |value|
+    # of the sweep, and each extraction needs sigma * 2**-53 to be a normal
+    # float.
+    sigma = 2.0 ** (_M + math.frexp(top)[1])
+    sigmas = [s for s in (sigma, sigma * 2.0 ** (_M - 53)) if s >= 2.0**-969]
     b = min(n, _SUM_BLOCK)
     p, q = np.empty(b), np.empty(b)
     # Exact parts whose sum is the exact sum of v: two extracted sums per
@@ -145,17 +161,14 @@ def _fsum(v, center=None):
         if center is not None:
             rest = np.subtract(rest, center, out=pk)
             rest *= rest
-        sigma = 2.0 ** (_M + math.frexp(float(max(rest.max(), -rest.min())))[1])
-        for _ in range(2):
-            # The argument needs sigma * 2**-53 to be a normal float.
-            if sigma < 2.0**-969:
-                break
+        for sigma in sigmas:
             np.add(rest, sigma, out=qk)
             qk -= sigma
             np.subtract(rest, qk, out=pk)
             parts.append(float(qk.sum()))
-            rest, sigma = pk, sigma * 2.0 ** (_M - 53)
-        parts.extend(rest[rest != 0].tolist())
+            rest = pk
+        if rest.any():
+            parts.extend(rest[rest != 0].tolist())
     total = math.fsum(parts)
     # An exact zero takes the interpreter's sign of zero; squares are never
     # -0.0, so theirs is fsum's +0.0 already.
@@ -167,23 +180,34 @@ def mc_mean(s):
     v = _values(s)
     if v.size == 0:
         raise ValueError("mean of an empty sample set is undefined")
-    m = _fsum(v) / v.size
+    lo, hi = _bounds(v)
+    m = _fsum(v, bounds=(lo, hi)) / v.size
     # The division rounds the correctly rounded sum a second time, which can
     # step one ulp outside the samples' range (five equal values near 8.6e8
     # do); the exact mean never leaves it.
-    return min(max(m, float(v.min())), float(v.max()))
+    return min(max(m, lo), hi)
 
 
-def unbiased_variance(s):
+def unbiased_variance(s, mean=None):
     """Unbiased sample variance (1/(M-1) normalization), two-pass.
 
-    The squared deviations are summed one block of values at a time, so
-    the variance allocates one block's buffers whatever the sample count.
+    ``mean``, when given, must be ``mc_mean(s)``; as with
+    ``statistics.variance(data, xbar)``, it saves the first pass.  The
+    squared deviations are centred on the correctly rounded sum over n,
+    which is ``mean`` unless ``mean`` is the smallest or largest sample:
+    only there can :func:`mc_mean` have clamped it, so there the sum is
+    taken again.  So a term is summed once for its mean and once for its
+    squared deviations.  They are summed one block of values at a time,
+    so the variance allocates one block's buffers whatever the sample
+    count.
     """
     v = _values(s)
     if v.size < 2:
         raise ValueError(f"unbiased variance needs at least 2 samples, got {v.size}")
-    return _fsum(v, _fsum(v) / v.size) / (v.size - 1)
+    bounds = _bounds(v)
+    if mean is None or mean in bounds:
+        mean = _fsum(v, bounds=bounds) / v.size
+    return _fsum(v, mean, bounds=bounds) / (v.size - 1)
 
 
 def estimate_alpha(delta_12, delta_23):

@@ -694,23 +694,28 @@ def test_run_parameters_whose_plan_overflows_exit_2(tmp_path, capsys, strategy):
 
 
 @pytest.mark.parametrize(
-    "command, entry",
+    "command, entry, name",
     [
-        ("run", {"strategy": "mc", "parameters": {"delta": 1.0, "e": 3e-9, "alpha": 1.0}}),
-        ("pilot", {"pilot_samples": 1e17}),
-        ("run", {"strategy": "s1", "pilot_samples": 1e17}),
+        (
+            "run", {"strategy": "mc", "parameters": {"delta": 1.0, "e": 3e-9, "alpha": 1.0}},
+            "term 1 (levels [1]) has 111111111111111104 samples",
+        ),
+        ("pilot", {"pilot_samples": 1e17}, "the pilot has 100000000000000000 samples"),
+        ("run", {"strategy": "s1", "pilot_samples": 1e17}, "the pilot has 100000000000000000 samples"),
     ],
     ids=["run_plan", "pilot", "run_inline_pilot"],
 )
-def test_a_plan_or_pilot_too_large_to_allocate_exits_2(tmp_path, capsys, command, entry):
+def test_a_plan_or_pilot_too_large_to_allocate_exits_2(tmp_path, capsys, command, entry, name):
     # A term of 1.1e17 values (789 PiB) and a pilot of 1e17 (1.39 EiB): past
     # what a 64-bit address space can map, so the allocation fails at once.
-    # Each printed numpy's traceback and exited 1.
+    # Each printed numpy's traceback and exited 1; the message names the
+    # term or the pilot and its sample count after numpy's words.
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, **entry})
     assert main([command, "--config", str(cfg), "--out", "out.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert err.endswith(f" float64: {name}\n")
     assert not (tmp_path / "out.json").exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from mlmckit import stats
+from mlmckit import executor, stats
 from mlmckit.stats import (
     _fsum,
     LevelTermStats,
@@ -187,6 +187,14 @@ def _fsum_outcome(fn, v):
 @example(1.0 + np.random.default_rng(0).random(3 * 16384 + 17))
 # Values too large for a block's sigma, though their sum is not.
 @example(np.full(1024, 2.0**1009))
+# A full block near ±1e200 that cancels, then a block near 1e-200: the
+# sweep's one sigma, set by the first block, leaves every value of the
+# second as a nonzero remainder, and those make up the whole sum.
+@example(np.concatenate([
+    np.repeat(1e200 * (1.0 + np.random.default_rng(3).random(8192)), 2)
+    * np.resize([1.0, -1.0], 16384),
+    1e-200 * (1.0 + np.random.default_rng(4).random(16384)),
+]))
 # A block whose values are all subnormal, so neither extraction runs.
 @example(np.arange(-1500, 1999) * 5e-324)
 # A block where only the first extraction runs, with subnormals left over.
@@ -210,6 +218,22 @@ def test_fsum_equals_math_fsum_bit_for_bit(v):
 def test_variance_equals_the_scalar_reference_bit_for_bit(v):
     assume(v.size >= 2)
     assert _outcome(unbiased_variance, v) == _outcome(_ref_variance, v.tolist())
+
+
+def _variance_given_the_mean(v):
+    return unbiased_variance(v, mc_mean(v))
+
+
+@given(st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64),
+    sum_inputs(),
+))
+@example([858993459.9999999] * 5)  # mc_mean clamps fsum(v) / n onto the smallest value
+@example([1.0, 1.0000000000000002])  # fsum(v) / n rounds onto the smallest value
+@example([-1.0000000000000002, -1.0])  # and onto the largest
+def test_variance_given_the_mean_is_the_same_bit_for_bit(values):
+    assume(len(values) >= 2)
+    assert _outcome(_variance_given_the_mean, values) == _outcome(unbiased_variance, values)
 
 
 def test_variance_allocates_one_block_whatever_the_size():
@@ -262,6 +286,21 @@ def test_level_term_stats_validation():
             LevelTermStats(term_index=1, mean=mean, variance=None, count=1)
     with pytest.raises(ValueError, match="variance"):
         LevelTermStats(term_index=1, mean=0.0, variance=math.inf, count=5)
+
+
+def test_a_term_is_summed_once_for_its_mean_and_once_for_its_squares(monkeypatch):
+    centers = []
+    fsum = stats._fsum
+
+    def counted(v, center=None, **kwargs):
+        centers.append(center)
+        return fsum(v, center, **kwargs)
+
+    monkeypatch.setattr(stats, "_fsum", counted)
+    values = np.random.default_rng(5).standard_normal(3 * 16384 + 17)
+    term = executor._term_stats(1, values)
+    assert centers == [None, term.mean]
+    assert term.variance == unbiased_variance(values)
 
 
 # ---------------------------------------------------------------------------
