@@ -10,7 +10,6 @@ worker and yield identical bits.
 import threading
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._checks import _seeds, _whole
 
@@ -125,6 +124,9 @@ def normal_lanes(seeds, n, out=None, groups=1):
     (n, len(seeds)) array is the fast layout) and returned; without ``out``
     it is a new array in that layout.  It never shares memory with scratch.
     """
+    # scipy loads on the first draw, so commands that never draw skip its import.
+    from scipy.special import ndtri
+
     seeds = _seeds(seeds)
     n, groups = _whole("n", n, 0, None), _whole("groups", groups, 1, None)
     if n % groups:

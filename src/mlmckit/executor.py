@@ -14,8 +14,8 @@ The pilot and :func:`run_mlmc`, which runs every plan, evaluate samples
 through one chunk loop.  Each rule of that run path is stated once, where
 it is decided: the chunk split at :func:`_chunk_size` and ``_CHUNK``;
 workers and the chunk hand-out at :func:`_call` and :func:`_evaluate_term`;
-the failure rule at :func:`_evaluate_chunk`, :func:`_differences` and
-:func:`_no_overflow`; exact sums in :mod:`mlmckit.stats`; the sample log at
+the failure rule at :func:`_evaluate_chunk` and :func:`_no_overflow`;
+exact sums in :mod:`mlmckit.stats`; the sample log at
 :func:`_write_sample_log`.
 """
 
@@ -180,22 +180,30 @@ def _call(base_seed, workers, largest):
         yield base_seed, pool, helpers
 
 
-def _evaluate_chunk(model, levels, seeds):
-    """``model``'s values at ``levels`` for ``seeds``, all finite, or the failure.
+def _evaluate_chunk(model, levels, seeds, into):
+    """Write ``model``'s term values at ``levels`` for ``seeds`` into ``into``, or raise.
 
-    The executor's failure rule lives here alone: the lowest failing level,
-    and its first failing seed.  A non-finite value is found by the
-    row-major ``argmin`` over the ``(levels, seeds)`` array.  A call that
-    raises is followed, at each level in ascending order, by the same
-    search over the two halves of the seeds, one level per call, until a
-    half fails.  So a one-level chunk of n seeds names its first failing
-    seed, raised or non-finite, in at most 2 * ceil(log2(n)) + 1
-    ``evaluate_levels`` calls, and a two-level chunk in at most
-    2 * ceil(log2(n)) + 3.  Beyond the failing call, that evaluates the n
-    seeds once more at each level below the failing one and up to about 2n
-    at the failing level, where one-seed batches would take n calls per
-    level.  A call that raises while all its halves succeed, or that
-    returns the wrong shape, names no seed, at its lowest level.
+    ``into`` is the caller's ``(max(1, len(levels) - 1), len(seeds))`` slice
+    of a term's values: the coupled differences ``U[levels[i]] -
+    U[levels[i+1]]``, one row per adjacent pair, or the values at the only
+    level.  Returns the ``(levels, seeds)`` values.
+
+    The executor's failure rule lives here alone.  A chunk is tested once,
+    by ``isfinite`` over ``into``: a difference is finite only if both its
+    values are.  A chunk that fails is searched for the lowest non-finite
+    level and its first seed (the row-major ``argmin`` over the values),
+    else for the lowest pair whose difference overflows a float and its
+    first seed, which raises DegenerateModelError.  A call that raises is
+    followed, at each level in ascending order, by the same search over
+    the two halves of the seeds, one level per call, until a half fails.
+    So a one-level chunk of n seeds names its first failing seed, raised
+    or non-finite, in at most 2 * ceil(log2(n)) + 1 ``evaluate_levels``
+    calls, and a two-level chunk in at most 2 * ceil(log2(n)) + 3.  Beyond
+    the failing call, that evaluates the n seeds once more at each level
+    below the failing one and up to about 2n at the failing level, where
+    one-seed batches would take n calls per level.  A call that raises
+    while all its halves succeed, or that returns the wrong shape, names no
+    seed, at its lowest level.
     """
     try:
         out = np.asarray(model.evaluate_levels(levels, seeds), dtype=float)
@@ -208,64 +216,56 @@ def _evaluate_chunk(model, levels, seeds):
         parts = (seeds[:half], seeds[half:]) if half else (seeds,)
         for level in levels:
             for part in parts:
-                _evaluate_chunk(model, (level,), part)
+                _evaluate_chunk(model, (level,), part, np.empty((1, len(part))))
         raise ModelEvaluationError(levels[0], None, exc) from exc
     if out.shape != (len(levels), len(seeds)):
         raise ModelEvaluationError(
             levels[0], None,
             f"batch returned shape {out.shape} for {len(levels)} levels of {len(seeds)} seeds",
         )
-    finite = np.isfinite(out)
-    if not finite.all():
-        row, col = np.unravel_index(np.argmin(finite), out.shape)
-        raise ModelEvaluationError(
-            levels[row], int(seeds[col]), f"non-finite value {out[row, col]!r}"
+    if len(levels) == 1:
+        into[...] = out
+    else:
+        # Values not yet known finite: inf - inf must not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(out[:-1], out[1:], out=into)
+    if not np.isfinite(into).all():
+        # The lowest non-finite value, else the lowest difference that overflows.
+        bad = out if not np.isfinite(out).all() else into
+        row, col = np.unravel_index(np.argmin(np.isfinite(bad)), bad.shape)
+        level, seed = levels[row], int(seeds[col])
+        if bad is out:
+            raise ModelEvaluationError(level, seed, f"non-finite value {out[row, col]!r}")
+        raise DegenerateModelError(
+            f"levels {level}-{levels[row + 1]} coupled difference overflows a float at seed {seed}"
         )
     return out
 
 
-def _differences(levels, out, seeds):
-    """The coupled differences of each adjacent pair of ``levels``, one row per pair.
-
-    ``out`` holds one row of values per level for ``seeds``.  The lowest pair
-    whose difference overflows a float raises DegenerateModelError naming
-    its levels and its first such seed.
-    """
-    with np.errstate(over="ignore"):
-        diff = out[:-1] - out[1:]
-    finite = np.isfinite(diff)
-    if not finite.all():
-        row, col = np.unravel_index(np.argmin(finite), diff.shape)
-        raise DegenerateModelError(
-            f"levels {levels[row]}-{levels[row + 1]} coupled difference "
-            f"overflows a float at seed {seeds[col]}"
-        )
-    return diff
+def _allocate(what, rows, count):
+    """An empty ``(rows, count)`` float array; MemoryError names ``what`` and ``count``."""
+    try:
+        return np.empty((rows, count))
+    except MemoryError as exc:
+        raise MemoryError(f"{exc}: {what} has {count} samples") from exc
 
 
-def _evaluate_term(what, model, levels, base_seed, start, count, pool, helpers, keep=False):
-    """Evaluate ``count`` realizations, counters ``start`` onwards, at ``levels``.
+def _evaluate_term(model, levels, base_seed, start, values, rows, pool, helpers):
+    """Evaluate ``values.shape[1]`` realizations, counters ``start`` onwards, at ``levels``.
 
-    Returns ``(values, rows)``.  ``values`` holds one row per adjacent pair
-    of ``levels``, its coupled differences ``U[levels[i]] - U[levels[i+1]]``,
-    or the one row of values at the only level.  With ``keep``, ``rows``
-    holds one row of values per level; otherwise None.  Arrays too large
-    to allocate raise MemoryError naming ``what`` and ``count``.
+    Writes the term's values into ``values``, as :func:`_evaluate_chunk`
+    defines them, and, unless ``rows`` is None, one row of values per
+    level into ``rows``.  The caller allocates both before its first term.
 
     This is the executor's one loop over samples.  The calling thread and
     up to ``helpers`` threads of ``pool`` take chunk indices in sample
-    order from one shared counter.  Each chunk derives its own seeds,
-    evaluates them at every level through :func:`_evaluate_chunk` and
-    writes its slice of ``values``; a coupled difference that overflows
-    raises :class:`DegenerateModelError`.  A failing chunk is recorded by
-    index and stops the hand-out, every chunk before it being out already;
-    the lowest one is raised once every thread has finished its chunk.
+    order from one shared counter.  Each chunk derives its own seeds and
+    writes its slice of ``values`` through :func:`_evaluate_chunk`.  A
+    failing chunk is recorded by index and stops the hand-out, every chunk
+    before it being out already; the lowest one is raised once every thread
+    has finished its chunk.
     """
-    try:
-        values = np.empty((max(1, len(levels) - 1), count))
-        rows = np.empty((len(levels), count)) if keep else None
-    except MemoryError as exc:
-        raise MemoryError(f"{exc}: {what} has {count} samples") from exc
+    count = values.shape[1]
     size = _chunk_size(count)
     chunks = -(-count // size)
     lock = threading.Lock()
@@ -275,9 +275,8 @@ def _evaluate_term(what, model, levels, base_seed, start, count, pool, helpers, 
     def run_chunk(i):
         seeds = counter_seeds(base_seed, start + i, min(size, count - i))
         done = slice(i, i + len(seeds))
-        out = _evaluate_chunk(model, levels, seeds)
-        values[:, done] = _differences(levels, out, seeds) if len(levels) > 1 else out
-        if keep:
+        out = _evaluate_chunk(model, levels, seeds, values[:, done])
+        if rows is not None:
             rows[:, done] = out
 
     def work():
@@ -305,7 +304,6 @@ def _evaluate_term(what, model, levels, base_seed, start, count, pool, helpers, 
             f.result()
     if failures:
         raise failures[min(failures)]
-    return values, rows
 
 
 def _term_stats(term_index, values):
@@ -359,18 +357,25 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
     stats = []
     seed_ledger = []
     log_terms = []
+    keep = sample_log_path is not None
     start = 0
     with _call(base_seed, workers, max(plan.M)) as (base_seed, pool, helpers):
-        for term, (count, levels) in enumerate(zip(plan.M, term_levels), start=1):
-            (values,), rows = _evaluate_term(
-                f"term {term} (levels {list(levels)})",
-                model, levels, base_seed, start, count, pool, helpers,
-                keep=sample_log_path is not None,
-            )
-            if sample_log_path is not None:
+        # Every array the run fills is allocated before its first chunk, so
+        # a run that cannot fit fails before it evaluates a sample.
+        names = [f"term {t} (levels {list(lv)})" for t, lv in enumerate(term_levels, start=1)]
+        largest = plan.M.index(max(plan.M))
+        buffer = _allocate(names[largest], 1, plan.M[largest])
+        kept = [
+            _allocate(name, len(levels), count) if keep else None
+            for name, levels, count in zip(names, term_levels, plan.M)
+        ]
+        for term, (count, levels, rows) in enumerate(zip(plan.M, term_levels, kept), start=1):
+            values = buffer[:, :count]
+            _evaluate_term(model, levels, base_seed, start, values, rows, pool, helpers)
+            if keep:
                 log_terms.append((term, base_seed, start, dict(zip(levels, rows))))
             with _no_overflow(f"term {term}"):
-                stats.append(_term_stats(term, values))
+                stats.append(_term_stats(term, values[0]))
             seed_ledger.append(
                 {
                     "term_index": term,
@@ -382,10 +387,8 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
                 }
             )
             start += count
-            # Free the term's arrays before the next term allocates its own.
-            del values, rows
 
-    if sample_log_path is not None:
+    if keep:
         _write_sample_log(sample_log_path, log_terms)
     term_stats = tuple(stats)
     with _no_overflow(f"terms 1-{len(term_stats)}"):
@@ -450,7 +453,7 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
     [0, inf), or a float overflow anywhere in deriving (delta, e, alpha)
     from the pilot's values raises :class:`DegenerateModelError` naming the
     pilot (CLI exit 3), rather than a plan.  A coupled difference that
-    overflows is the run path's rule (:func:`_differences`).
+    overflows is the run path's rule (:func:`_evaluate_chunk`).
     """
     pilot_samples = _whole("pilot_samples", pilot_samples, 2, None)
     if model.max_level < 3:
@@ -459,12 +462,11 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
         )
     with _call(base_seed, workers, pilot_samples) as (base_seed, pool, helpers):
         pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
-        (d12, d23), (_, u2, _) = _evaluate_term(
-            "the pilot", model, [1, 2, 3], pilot_base, 0, pilot_samples, pool, helpers,
-            keep=True,
-        )
+        diffs = _allocate("the pilot", 2, pilot_samples)
+        rows = _allocate("the pilot", 3, pilot_samples)
+        _evaluate_term(model, [1, 2, 3], pilot_base, 0, diffs, rows, pool, helpers)
     with _no_overflow("pilot"):
-        delta_12, delta_23, delta = [math.sqrt(unbiased_variance(v)) for v in (d12, d23, u2)]
+        delta_12, delta_23, delta = [math.sqrt(unbiased_variance(v)) for v in (*diffs, rows[1])]
         if 0.0 in (delta_12, delta_23, delta):
             raise DegenerateModelError(
                 "pilot variance is zero: a deterministic (or exactly coupled) "

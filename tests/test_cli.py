@@ -2,13 +2,16 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mlmckit import cli, models
+from mlmckit import cli, executor, models
 from mlmckit.cli import RunConfig, main
 from mlmckit.executor import QoIModel
+from mlmckit.planner import LevelPlan, StrategyId
 
 BENCH_FLAGS = ["--delta", "7.36e7", "--err", "9.60e6", "--alpha", "1.07"]
 
@@ -702,20 +705,31 @@ def test_run_parameters_whose_plan_overflows_exit_2(tmp_path, capsys, strategy):
         ),
         ("pilot", {"pilot_samples": 1e17}, "the pilot has 100000000000000000 samples"),
         ("run", {"strategy": "s1", "pilot_samples": 1e17}, "the pilot has 100000000000000000 samples"),
+        (
+            "run", {"plan": LevelPlan(StrategyId.S1, (10, 10**17), 3.0, None).to_json_dict()},
+            "term 2 (levels [2]) has 100000000000000000 samples",
+        ),
     ],
-    ids=["run_plan", "pilot", "run_inline_pilot"],
+    ids=["run_plan", "pilot", "run_inline_pilot", "embedded_plan"],
 )
-def test_a_plan_or_pilot_too_large_to_allocate_exits_2(tmp_path, capsys, command, entry, name):
+def test_a_plan_or_pilot_too_large_to_allocate_exits_2(
+    tmp_path, capsys, monkeypatch, command, entry, name
+):
     # A term of 1.1e17 values (789 PiB) and a pilot of 1e17 (1.39 EiB): past
     # what a 64-bit address space can map, so the allocation fails at once.
     # Each printed numpy's traceback and exited 1; the message names the
-    # term or the pilot and its sample count after numpy's words.
+    # term or the pilot and its sample count after numpy's words.  Every
+    # array is allocated before the first chunk: the embedded plan's ten
+    # samples of term 1 were once evaluated before term 2 failed.
+    calls = []
+    monkeypatch.setattr(executor, "_evaluate_chunk", lambda *args: calls.append(args))
     cfg = tmp_path / "cfg.json"
     _write(cfg, {"model": {"kind": "two_scale"}, **entry})
     assert main([command, "--config", str(cfg), "--out", "out.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert err.endswith(f" float64: {name}\n")
+    assert calls == []
     assert not (tmp_path / "out.json").exists()
 
 
@@ -823,6 +837,29 @@ def test_report_on_real_run_output(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 0
     assert main(["report", str(tmp_path / "report.json")]) == 0
     assert "S1" in capsys.readouterr().out
+
+
+_SCIPY_AFTER = """
+import sys
+from mlmckit.cli import main
+rc = main(sys.argv[1:])
+print(rc, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["plan", "report"])
+def test_commands_that_never_draw_never_import_scipy(tmp_path, command):
+    # scipy's import (about 0.3 s) is for the normal draws alone, so it
+    # loads on the first draw; plan and report draw nothing.
+    _write(tmp_path / "r.json", _fake_report("S1", 38.0))
+    argv = {"plan": ["plan", *BENCH_FLAGS], "report": ["report", "r.json"]}[command]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _SCIPY_AFTER, *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def test_report_malformed_exits_5(tmp_path, capsys):

@@ -1126,6 +1126,65 @@ def test_a_coupled_difference_that_overflows_is_degenerate(workers, alternate, c
             )
 
 
+class InfiniteAtOneSeed(TwoScaleBatches):
+    """TwoScale values, but ``fine`` at level 1 and ``coarse`` at level 2 for ``seed``."""
+
+    def __init__(self, seed, fine, coarse):
+        super().__init__()
+        self.seed, self.at = seed, {1: fine, 2: coarse}
+
+    def evaluate_many(self, level, seeds):
+        out = super().evaluate_many(level, seeds)
+        out[np.asarray(seeds, dtype=np.uint64) == self.seed] = self.at.get(level, 0.0)
+        return out
+
+
+@pytest.mark.parametrize("fine, coarse", [(math.inf, math.inf), (-math.inf, math.inf)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_infinite_values_at_both_levels_name_the_fine_level_and_seed(workers, fine, coarse):
+    # Both values of one seed's coupled difference are infinite: inf - inf
+    # is NaN, and -inf - inf is -inf.  A chunk is tested once, over its
+    # differences, and the failure search names the fine level's value
+    # without a numpy warning.
+    bad = int(counter_seeds(0, 1000, 1)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelEvaluationError) as exc:
+            run_mlmc(
+                InfiniteAtOneSeed(bad, fine, coarse), _plan(StrategyId.S2, (4096, 1)),
+                base_seed=0, workers=workers,
+            )
+    assert (exc.value.level, exc.value.seed) == (1, bad)
+    assert str(exc.value).endswith(f"non-finite value {np.float64(fine)!r}")
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["no_log", "sample_log"])
+def test_every_array_of_a_run_is_allocated_before_its_first_chunk(tmp_path, monkeypatch, log):
+    # One values row sized by the largest term, which every term reuses,
+    # and with a sample log every term's level rows: a run that cannot fit
+    # fails before it evaluates a sample.
+    events = []
+    allocate, evaluate = executor._allocate, executor._evaluate_chunk
+
+    def spy_allocate(what, rows, count):
+        events.append((what, rows, count))
+        return allocate(what, rows, count)
+
+    def spy_evaluate(*args):
+        events.append("chunk")
+        return evaluate(*args)
+
+    monkeypatch.setattr(executor, "_allocate", spy_allocate)
+    monkeypatch.setattr(executor, "_evaluate_chunk", spy_evaluate)
+    path = tmp_path / "samples.csv" if log else None
+    run_mlmc(TwoScaleModel(), _plan(StrategyId.S1, (40, 60, 20)), 0, 1, sample_log_path=path)
+    first = events.index("chunk")
+    assert set(events[first:]) == {"chunk"}
+    logged = [("term 1 (levels [1, 2])", 2, 40), ("term 2 (levels [2, 3])", 2, 60),
+              ("term 3 (levels [3])", 1, 20)]
+    assert events[:first] == [("term 2 (levels [2, 3])", 1, 60)] + (logged if log else [])
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_pilot_overflow_in_an_early_chunk_wins_over_a_later_raise(workers):
     # Levels 2-3 overflow at seed index 0 and the model raises at index
