@@ -11,9 +11,10 @@ Determinism contract: reports are byte-identical for a given
 pure function of (base_seed, global counter).
 
 The pilot and :func:`run_mlmc`, which runs every plan, evaluate samples
-through one chunk loop.  Each rule of that run path is stated once, where
-it is decided: the chunk split at :func:`_chunk_size` and ``_CHUNK``;
-workers and the chunk hand-out at :func:`_call` and :func:`_evaluate_term`;
+through one chunk loop, one hand-out over every chunk of every term.  Each
+rule of that run path is stated once, where it is decided: the chunk split
+at :func:`_chunk_size` and ``_CHUNK``; workers, the chunk hand-out and when
+a term's statistics are taken at :func:`_call` and :func:`_evaluate_terms`;
 the failure rule at :func:`_evaluate_chunk` and :func:`_no_overflow`;
 exact sums in :mod:`mlmckit.stats`; the sample log at
 :func:`_write_sample_log`.
@@ -235,7 +236,7 @@ def _evaluate_chunk(model, levels, seeds, into):
         row, col = np.unravel_index(np.argmin(np.isfinite(bad)), bad.shape)
         level, seed = levels[row], int(seeds[col])
         if bad is out:
-            raise ModelEvaluationError(level, seed, f"non-finite value {out[row, col]!r}")
+            raise ModelEvaluationError(level, seed, f"non-finite value {float(out[row, col])!r}")
         raise DegenerateModelError(
             f"levels {level}-{levels[row + 1]} coupled difference overflows a float at seed {seed}"
         )
@@ -250,65 +251,112 @@ def _allocate(what, rows, count):
         raise MemoryError(f"{exc}: {what} has {count} samples") from exc
 
 
-def _evaluate_term(model, levels, base_seed, start, values, rows, pool, helpers):
-    """Evaluate ``values.shape[1]`` realizations, counters ``start`` onwards, at ``levels``.
+def _evaluate_terms(model, terms, base_seed, buffers, pool, helpers, take):
+    """Evaluate every term of ``terms``, each ``(levels, start, count, rows)``.
 
-    Writes the term's values into ``values``, as :func:`_evaluate_chunk`
-    defines them, and, unless ``rows`` is None, one row of values per
-    level into ``rows``.  The caller allocates both before its first term.
+    Term i draws ``count`` realizations, counters ``start`` onwards, and
+    writes their values at ``levels``, as :func:`_evaluate_chunk` defines
+    them, into ``buffers[i % len(buffers)]`` and, unless ``rows`` is None,
+    one row of values per level into ``rows``.  ``take(i, values)`` is
+    called once all of term i's values are in, and its results are returned
+    in term order.  The caller allocates every array before the first
+    chunk.
 
     This is the executor's one loop over samples.  The calling thread and
-    up to ``helpers`` threads of ``pool`` take chunk indices in sample
-    order from one shared counter.  Each chunk derives its own seeds and
-    writes its slice of ``values`` through :func:`_evaluate_chunk`.  A
-    failing chunk is recorded by index and stops the hand-out, every chunk
-    before it being out already; the lowest one is raised once every thread
-    has finished its chunk.
+    up to ``helpers`` threads of ``pool`` take chunks from one shared
+    counter, in sample order across every term.  Each chunk derives its own
+    seeds and writes its slices through :func:`_evaluate_chunk`.  Only the
+    calling thread calls ``take``, in term order, between its own chunks,
+    so a helper may start the next term while the caller sums the last.  A
+    chunk of term i is handed out only once ``take`` has returned for term
+    ``i - len(buffers)``, so no buffer is overwritten before it is summed.
+    A failure, of a chunk or of ``take``, is recorded and stops the
+    hand-out; ``take`` still runs for every complete term below the lowest
+    failing chunk.  Once every thread has finished its chunk, the first
+    failure in sample order is raised, a term's ``take`` ranking after its
+    own chunks and before the next term's.
     """
-    count = values.shape[1]
-    size = _chunk_size(count)
-    chunks = -(-count // size)
-    lock = threading.Lock()
-    handed = 0  # chunks handed out so far
-    failures = {}  # chunk index -> the error it raised
+    steps = []  # (term, first sample, samples) of every chunk, in sample order
+    left = []  # chunks of each term not in yet
+    for t, (_, _, count, _) in enumerate(terms):
+        size = _chunk_size(count)
+        steps += [(t, i, min(size, count - i)) for i in range(0, count, size)]
+        left.append(-(-count // size))
+    cond = threading.Condition()
+    handed = finished = taken = 0  # chunks handed out, chunks finished, terms taken
+    stop = len(terms)  # the lowest term with a failure
+    failures = {}  # (term, first sample) -> error; a term's take ranks at (term, count)
+    results = []
 
-    def run_chunk(i):
-        seeds = counter_seeds(base_seed, start + i, min(size, count - i))
-        done = slice(i, i + len(seeds))
-        out = _evaluate_chunk(model, levels, seeds, values[:, done])
+    def run(t, i, n):
+        levels, start, count, rows = terms[t]
+        values = buffers[t % len(buffers)]
+        if not n:
+            results.append(take(t, values[:, :count]))
+            return
+        seeds = counter_seeds(base_seed, start + i, n)
+        out = _evaluate_chunk(model, levels, seeds, values[:, i : i + n])
         if rows is not None:
-            rows[:, done] = out
+            rows[:, i : i + n] = out
 
-    def work():
-        nonlocal handed
+    def work(caller=False):
+        # Record the step this thread last ran and pick its next one under
+        # one lock, then run it outside.  Only the caller takes a term, as
+        # the step (term, count, 0).
+        nonlocal handed, finished, taken, stop
+        step = error = None
         while True:
-            with lock:
-                if handed >= chunks or failures:
-                    return
-                k = handed
-                handed += 1
+            with cond:
+                if step is not None:
+                    t, i, n = step
+                    if error is not None:
+                        failures[t, i] = error
+                        stop = min(stop, t)
+                    if n:
+                        left[t] -= 1
+                        finished += 1
+                    else:
+                        taken += 1
+                    if not n or not left[t] or failures:  # what a waiter waits for
+                        cond.notify_all()
+                while True:
+                    if caller and taken < stop and not left[taken]:
+                        step = taken, terms[taken][2], 0
+                        break
+                    if failures or handed == len(steps):
+                        if not caller or finished == handed and (failures or taken == len(terms)):
+                            return
+                    elif steps[handed][0] < taken + len(buffers):
+                        step = steps[handed]
+                        handed += 1
+                        break
+                    cond.wait()
+            error = None
             try:
-                run_chunk(k * size)
-            except Exception as exc:
-                with lock:
-                    failures[k] = exc
+                run(*step)
+            except BaseException as exc:  # recorded, so no thread waits on the step forever
+                error = exc
 
-    futures = [pool.submit(work) for _ in range(min(helpers, chunks - 1))]
+    futures = [pool.submit(work) for _ in range(helpers)]
     try:
-        work()
+        work(caller=True)
     finally:
-        # Every chunk is out by now, unless the caller was interrupted.
-        with lock:
-            handed = chunks
+        # Stop the hand-out, also if the caller was interrupted, so each
+        # helper returns once its chunk is done.
+        with cond:
+            handed = len(steps)
+            cond.notify_all()
         for f in futures:
             f.result()
     if failures:
         raise failures[min(failures)]
+    return results
 
 
 def _term_stats(term_index, values):
-    mean = mc_mean(values)
-    var = unbiased_variance(values, mean) if len(values) >= 2 else None
+    with _no_overflow(f"term {term_index}"):
+        mean = mc_mean(values)
+        var = unbiased_variance(values, mean) if len(values) >= 2 else None
     return LevelTermStats(term_index=term_index, mean=mean, variance=var, count=len(values))
 
 
@@ -347,49 +395,51 @@ def _run_terms(model, plan, term_levels, base_seed, workers, sample_log_path):
 
     Term t draws ``plan.M[t-1]`` realizations, the next ones of the counter
     stream, and evaluates each at every level of ``term_levels[t-1]`` (one or
-    two levels); a two-level term's values are the coupled differences.  A
+    two levels); a two-level term's values are the coupled differences.
+    Every term's chunks go through one :func:`_evaluate_terms` hand-out.  A
     term's statistics are taken on the calling thread once all its values
-    are in, so they do not depend on the worker count.  The sample log is
-    written once every term has succeeded.  The realized load is
+    are in, in term order, while helpers may evaluate the next term, so
+    they do not depend on the worker count.  The sample log is written once
+    every term has succeeded.  The realized load is
     :func:`~mlmckit.planner.load` of those solves.
     """
     t0 = time.perf_counter()
-    stats = []
-    seed_ledger = []
-    log_terms = []
-    keep = sample_log_path is not None
-    start = 0
     with _call(base_seed, workers, max(plan.M)) as (base_seed, pool, helpers):
         # Every array the run fills is allocated before its first chunk, so
-        # a run that cannot fit fails before it evaluates a sample.
+        # a run that cannot fit fails before it evaluates a sample.  With
+        # helpers, the terms take turns at two buffers, each sized by the
+        # largest term that uses it, so a helper can evaluate the next term
+        # while the caller sums the last.
         names = [f"term {t} (levels {list(lv)})" for t, lv in enumerate(term_levels, start=1)]
-        largest = plan.M.index(max(plan.M))
-        buffer = _allocate(names[largest], 1, plan.M[largest])
+        turns = 2 if helpers and len(plan.M) > 1 else 1
+        largest = [max(range(p, len(plan.M), turns), key=plan.M.__getitem__) for p in range(turns)]
+        buffers = [_allocate(names[t], 1, plan.M[t]) for t in largest]
         kept = [
-            _allocate(name, len(levels), count) if keep else None
+            _allocate(name, len(levels), count) if sample_log_path is not None else None
             for name, levels, count in zip(names, term_levels, plan.M)
         ]
-        for term, (count, levels, rows) in enumerate(zip(plan.M, term_levels, kept), start=1):
-            values = buffer[:, :count]
-            _evaluate_term(model, levels, base_seed, start, values, rows, pool, helpers)
-            if keep:
-                log_terms.append((term, base_seed, start, dict(zip(levels, rows))))
-            with _no_overflow(f"term {term}"):
-                stats.append(_term_stats(term, values[0]))
-            seed_ledger.append(
-                {
-                    "term_index": term,
-                    "levels": list(levels),
-                    "start_index": start,
-                    "count": count,
-                    "first_seed": int(counter_seeds(base_seed, start, 1)[0]),
-                    "last_seed": int(counter_seeds(base_seed, start + count - 1, 1)[0]),
-                }
-            )
-            start += count
-
-    if keep:
-        _write_sample_log(sample_log_path, log_terms)
+        starts = [sum(plan.M[:t]) for t in range(len(plan.M))]
+        terms = list(zip(term_levels, starts, plan.M, kept))
+        stats = _evaluate_terms(
+            model, terms, base_seed, buffers, pool, helpers,
+            lambda t, values: _term_stats(t + 1, values[0]),
+        )
+    if sample_log_path is not None:
+        _write_sample_log(sample_log_path, [
+            (term, base_seed, start, dict(zip(levels, rows)))
+            for term, (levels, start, _, rows) in enumerate(terms, start=1)
+        ])
+    seed_ledger = [
+        {
+            "term_index": term,
+            "levels": list(levels),
+            "start_index": start,
+            "count": count,
+            "first_seed": int(counter_seeds(base_seed, start, 1)[0]),
+            "last_seed": int(counter_seeds(base_seed, start + count - 1, 1)[0]),
+        }
+        for term, (levels, start, count, _) in enumerate(terms, start=1)
+    ]
     term_stats = tuple(stats)
     with _no_overflow(f"terms 1-{len(term_stats)}"):
         estimate = math.fsum(t.mean for t in term_stats)
@@ -464,7 +514,8 @@ def pilot_estimate_parameters(model, pilot_samples, base_seed, workers=None):
         pilot_base = mix64_int(base_seed ^ _PILOT_SALT)
         diffs = _allocate("the pilot", 2, pilot_samples)
         rows = _allocate("the pilot", 3, pilot_samples)
-        _evaluate_term(model, [1, 2, 3], pilot_base, 0, diffs, rows, pool, helpers)
+        pilot = [([1, 2, 3], 0, pilot_samples, rows)]
+        _evaluate_terms(model, pilot, pilot_base, [diffs], pool, helpers, lambda t, values: None)
     with _no_overflow("pilot"):
         delta_12, delta_23, delta = [math.sqrt(unbiased_variance(v)) for v in (*diffs, rows[1])]
         if 0.0 in (delta_12, delta_23, delta):

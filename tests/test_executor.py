@@ -397,12 +397,21 @@ def test_each_level_of_a_chunk_is_one_batch_call(workers):
         } | {coarse}
         assert len(model.batches) == len(expect)
         assert set(model.batches) == expect
-        # The coarse term starts only once every chunk of the first has finished.
-        assert model.batches[-1] == coarse
         if workers == 1:
+            # The coarse term starts only once every chunk of the first has finished.
+            assert model.batches[-1] == coarse
             # One chunk at every level of the term before the next chunk.
             assert [lv for lv, _, _ in model.batches] == [1, 2] * len(sizes) + [2]
             assert list(model.by_thread) == [threading.get_ident()]
+        else:
+            # Chunks are handed out in sample order across terms, so the
+            # coarse term may start while a helper finishes the first term,
+            # but only once every chunk of it is out.  A chunk is out before
+            # its thread records its level-1 batch, so each other thread may
+            # hold one first-term chunk not yet recorded.
+            first_level = {(1, size, int(seeds[i])) for i, size in zip(_starts(count), sizes)}
+            coarse_at = model.batches.index(coarse)
+            assert len(first_level - set(model.batches[:coarse_at])) <= workers - 1
         # On whichever thread a chunk runs, its two levels are consecutive
         # calls there, level 1 first.
         for calls in model.by_thread.values():
@@ -462,12 +471,13 @@ def test_the_pilot_draws_each_chunk_once(draws, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_run_frees_each_terms_level_values_before_its_statistics(workers):
-    # Only one term's difference may be alive at once, next to the
-    # statistics' block buffers and, at two workers, each pool thread's
-    # kept draw and scratch: that peaks near 2.5 times the largest term's
-    # float64 bytes (1.9 at one worker).  Keeping the rows through the
-    # statistics (4.5x at two workers) exceeds four; the tighter bound of
-    # the warm one-worker test below catches smaller leaks.
+    # One term's difference may be alive at once at one worker, and two at
+    # two workers (the next term's evaluation overlaps the last term's
+    # statistics), next to the statistics' block buffers and, at two
+    # workers, each pool thread's kept draw and scratch: that peaks near 3.5
+    # times the largest term's float64 bytes (1.9 at one worker).  Keeping
+    # the rows through the statistics exceeds four; the tighter bound of the
+    # warm one-worker test below catches smaller leaks.
     M = (26000, 82000, 104000, 104000, 82000, 20480)
     plan = _plan(StrategyId.S3, M)
     tracemalloc.start()
@@ -1155,14 +1165,15 @@ def test_infinite_values_at_both_levels_name_the_fine_level_and_seed(workers, fi
                 base_seed=0, workers=workers,
             )
     assert (exc.value.level, exc.value.seed) == (1, bad)
-    assert str(exc.value).endswith(f"non-finite value {np.float64(fine)!r}")
+    assert str(exc.value).endswith(f"non-finite value {fine!r}")
 
 
 @pytest.mark.parametrize("log", [False, True], ids=["no_log", "sample_log"])
 def test_every_array_of_a_run_is_allocated_before_its_first_chunk(tmp_path, monkeypatch, log):
-    # One values row sized by the largest term, which every term reuses,
-    # and with a sample log every term's level rows: a run that cannot fit
-    # fails before it evaluates a sample.
+    # One values row sized by the largest term, which every term reuses
+    # (two rows, one per term parity, in a pooled run), and with a sample
+    # log every term's level rows: a run that cannot fit fails before it
+    # evaluates a sample.
     events = []
     allocate, evaluate = executor._allocate, executor._evaluate_chunk
 
@@ -1177,12 +1188,28 @@ def test_every_array_of_a_run_is_allocated_before_its_first_chunk(tmp_path, monk
     monkeypatch.setattr(executor, "_allocate", spy_allocate)
     monkeypatch.setattr(executor, "_evaluate_chunk", spy_evaluate)
     path = tmp_path / "samples.csv" if log else None
-    run_mlmc(TwoScaleModel(), _plan(StrategyId.S1, (40, 60, 20)), 0, 1, sample_log_path=path)
-    first = events.index("chunk")
-    assert set(events[first:]) == {"chunk"}
+
+    def allocated(M, workers):
+        events.clear()
+        run_mlmc(TwoScaleModel(), _plan(StrategyId.S1, M), 0, workers, sample_log_path=path)
+        first = events.index("chunk")
+        assert set(events[first:]) == {"chunk"}
+        return events[:first]
+
     logged = [("term 1 (levels [1, 2])", 2, 40), ("term 2 (levels [2, 3])", 2, 60),
               ("term 3 (levels [3])", 1, 20)]
-    assert events[:first] == [("term 2 (levels [2, 3])", 1, 60)] + (logged if log else [])
+    assert allocated((40, 60, 20), 1) == [("term 2 (levels [2, 3])", 1, 60)] + (
+        logged if log else []
+    )
+    # With a helper, terms 1 and 3 share one buffer and terms 2 and 4 the
+    # other, each sized by its largest term; serially one buffer serves all.
+    M = (600, 1100, 700, 20)
+    names = ["term 1 (levels [1, 2])", "term 2 (levels [2, 3])", "term 3 (levels [3, 4])",
+             "term 4 (levels [4])"]
+    logged = [(name, min(2, 5 - t), count) for t, (name, count) in enumerate(zip(names, M), 1)]
+    rest = logged if log else []
+    assert allocated(M, 1) == [(names[1], 1, 1100)] + rest
+    assert allocated(M, 2) == [(names[2], 1, 700), (names[1], 1, 1100)] + rest
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1208,6 +1235,112 @@ def test_a_pilot_overflow_in_an_early_chunk_wins_over_a_later_raise(workers):
         match=f"^levels 2-3 coupled difference overflows a float at seed {seeds[0]}$",
     ):
         pilot_estimate_parameters(TwoFailures(), 4096, 0, workers)
+
+
+class FailsAt(QoIModel):
+    """1e308 at levels 1-2 and 0 below, or TwoScale values with ``two_scale``;
+    raises at the ``raises`` (level, seed) pairs, after ``pause`` seconds
+    for the ``slow`` one, and returns NaN at ``nans``."""
+
+    max_level = 4
+
+    def __init__(self, raises=(), nans=(), slow=None, pause=0.0, two_scale=False):
+        self.raises, self.nans, self.slow, self.pause = set(raises), set(nans), slow, pause
+        self.two_scale = TwoScaleModel() if two_scale else None
+
+    def evaluate_many(self, level, seeds):
+        if self.two_scale is None:
+            out = np.full(len(seeds), 1e308 if level <= 2 else 0.0)
+        else:
+            out = self.two_scale.evaluate_many(level, seeds)
+        for lv, seed in self.raises | self.nans:
+            if lv == level and (seeds == np.uint64(seed)).any():
+                if (lv, seed) == self.slow:
+                    time.sleep(self.pause)
+                if (lv, seed) in self.raises:
+                    raise RuntimeError("solver diverged")
+                out[seeds == np.uint64(seed)] = math.nan
+        return out
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_terms_statistics_overflow_wins_over_a_raise_in_the_next_term(workers):
+    # Term 2's differences are 1e308 each, so its mean's sum overflows; the
+    # model raises in term 3's first chunk, which a helper may reach while
+    # the caller sums term 2.  A term's statistics rank after its own
+    # chunks and before the next term's.
+    M = (600, 4096, 4096, 10)
+    bad = int(counter_seeds(0, M[0] + M[1] + 3, 1)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateModelError, match="^term 2 statistics overflow"):
+            run_mlmc(FailsAt(raises=[(3, bad)]), _plan(StrategyId.S1, M), 0, workers=workers)
+
+
+@pytest.mark.parametrize("kind", ["raises", "nans"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_failures_in_two_terms_name_the_lower_terms_seed(workers, kind):
+    # Term 1 fails in its last chunk after a pause; term 2 fails at once in
+    # its first chunk, which a helper may take while term 1's last chunk
+    # runs.  The lower term is named, whichever failure came first.
+    M = (4096, 4096, 10)
+    seeds = counter_seeds(0, 0, sum(M))
+    lower, upper = (2, int(seeds[_starts(M[0])[-1] + 2])), (2, int(seeds[M[0] + 1]))
+    model = FailsAt(**{kind: [lower, upper]}, slow=lower, pause=0.2, two_scale=True)
+    with pytest.raises(ModelEvaluationError) as exc:
+        run_mlmc(model, _plan(StrategyId.S1, M), 0, workers=workers)
+    assert (exc.value.level, exc.value.seed) == lower
+
+
+def _finishes(call, seconds=60):
+    """``call()``'s result or the exception it raised, run on a thread, so a
+    hand-out that deadlocks fails the test in seconds instead of hanging
+    the suite."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append(call())
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"the run did not finish within {seconds} s"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("M", [(40,) * 64, (4096,) + (40,) * 63], ids=["one_chunk", "helped"])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_run_of_many_one_chunk_terms_finishes(workers, M):
+    # 64 one-chunk terms run on the calling thread alone; a first term of
+    # eight chunks gives the call its helpers, and the 63 one-chunk terms
+    # after it each wait on the caller's statistics two terms back.
+    plan = _plan(StrategyId.S1, M)
+    model = LevelBlindModel(max_level=len(M))
+    report = _finishes(lambda: run_mlmc(model, plan, 7, workers=workers))
+    assert report.to_json_dict() == run_mlmc(model, plan, 7, workers=1).to_json_dict()
+
+
+class Halt(BaseException):
+    """Not an Exception, as a KeyboardInterrupt or SystemExit is not."""
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_model_that_raises_a_base_exception_ends_the_run(workers):
+    # A chunk that ends in a BaseException still counts as finished, so the
+    # caller, waiting for its term, does not wait forever.
+    class Halting(TwoScaleBatches):
+        def evaluate_many(self, level, seeds):
+            if level == 2 and (seeds == np.uint64(bad)).any():
+                raise Halt
+            return super().evaluate_many(level, seeds)
+
+    M = (4096, 4096, 10)
+    bad = int(counter_seeds(0, M[0] + 1000, 1)[0])
+    outcome = _finishes(lambda: run_mlmc(Halting(), _plan(StrategyId.S1, M), 0, workers=workers))
+    assert isinstance(outcome, Halt)
 
 
 def test_pilot_input_validation():
